@@ -29,21 +29,14 @@ from .matching import (
     resonance_phase,
 )
 from .scattering import (
-    BoundaryDrive,
-    FieldSample,
     Gap,
     Mirror,
     OpticalStack,
-    RegionAmplitudes,
-    ScatteringSolution,
-    TransferMatrix,
     compose,
     field_profile,
     four_mirror_chain,
-    mirror_matrix,
-    propagation_matrix,
     reflectivity,
-    solve_boundary,
+    region_amplitude_sweep,
     symmetric_cavity,
     three_mirror_chain,
     transmissivity,

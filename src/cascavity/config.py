@@ -151,6 +151,8 @@ class ExperimentConfig:
             },
             "output": {"directory": self.output.directory, "svg": self.output.svg},
         }
+        if self.drive.kind == "pump":
+            d["drive"].update(eta_l=self.drive.eta_l, eta_r=self.drive.eta_r, phi=self.drive.phi)
         if self.sweep is not None:
             d["sweep"] = {
                 "parameter": self.sweep.parameter,

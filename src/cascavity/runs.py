@@ -11,7 +11,7 @@ import numpy as np
 from . import __version__
 from .config import DriveConfig, ExperimentConfig
 from .errors import ConfigError
-from .matching import eta_from_input, kappa_from_geometry, match_cascaded
+from .matching import eta_from_input, kappa_from_geometry
 from .output import write_csv, write_json
 from .spectra import (
     DEFAULT_GRID_POINTS,
@@ -46,14 +46,11 @@ def _resolve_drive(drive: DriveConfig, kappa: float):
     return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r, drive.d_phase
 
 
-def _build_setup(config: ExperimentConfig):
+def _cascade(config: ExperimentConfig, command: str, **drive):
+    """The configured four-mirror stack and its matched mode system; ``drive`` goes to build_cascade."""
     geo = config.geometry
-    kappa = kappa_from_geometry(geo.zeta, geo.cavity_length)
-    a_in, d_in, d_phase, _, _, _ = _resolve_drive(config.drive, kappa)
     if geo.single_cavity:
-        if d_in != 0.0:
-            raise ConfigError("single_cavity runs support left-side drive only (d_in = 0)")
-        return build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order, a_in)
+        raise ConfigError(f"{command} runs require the cascaded geometry")
     return build_cascade(
         geo.zeta,
         geo.cavity_length,
@@ -61,9 +58,7 @@ def _build_setup(config: ExperimentConfig):
         geo.cavity_order,
         geo.fiber_order,
         fiber_alignment=config.fiber_alignment,
-        a_in=a_in,
-        d_in=d_in,
-        phi=d_phase,
+        **drive,
     )
 
 
@@ -78,12 +73,17 @@ def _omega_grid(config: ExperimentConfig, setup, grid_points: int | None, defaul
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Transmission spectra of the selected model(s) -> spectrum.csv [spectrum.svg]."""
-    setup = _build_setup(config)
+    geo = config.geometry
+    kappa = kappa_from_geometry(geo.zeta, geo.cavity_length)
+    a_in, d_in, d_phase, _, _, _ = _resolve_drive(config.drive, kappa)
+    if not geo.single_cavity:
+        setup = _cascade(config, "spectrum", a_in=a_in, d_in=d_in, phi=d_phase)
+    elif d_in != 0.0:
+        raise ConfigError("single_cavity runs support left-side drive only (d_in = 0)")
+    else:
+        setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order, a_in)
     grid = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
     meta = setup.metadata()
-    drive = config.drive
-    kappa = setup.system.kappa
-    a_in, d_in, d_phase, _, _, _ = _resolve_drive(drive, kappa)
 
     columns = [("omega", grid)]
     series = []
@@ -163,26 +163,8 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
 
 def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Intracavity intensity curves for both models -> profile.csv [profile.svg]."""
-    geo = config.geometry
-    if geo.single_cavity:
-        raise ConfigError("profile runs require the cascaded geometry")
-    setup = build_cascade(
-        geo.zeta,
-        geo.cavity_length,
-        geo.fiber_length,
-        geo.cavity_order,
-        geo.fiber_order,
-        fiber_alignment=config.fiber_alignment,
-    )
-    grid = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
-    curves = intensity_comparison(
-        geo.zeta,
-        geo.cavity_length,
-        geo.fiber_length,
-        geo.cavity_order,
-        grid,
-        fiber_alignment=config.fiber_alignment,
-    )
+    setup = _cascade(config, "profile")
+    curves = intensity_comparison(setup, _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS))
     omega_c = curves.metadata["omega_c"]
     columns = [
         ("omega", curves.omega),
@@ -218,23 +200,13 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
 
 def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Fiber intensity vs (omega, phi) -> darkmode.csv, darkmode_fit.csv [darkmode.svg]."""
-    geo = config.geometry
-    if geo.single_cavity:
-        raise ConfigError("darkmode runs require the cascaded geometry")
+    setup = _cascade(config, "darkmode")
     phase = config.phase_grid
     if phase.points < 5:
         raise ConfigError(f"darkmode needs at least 5 phase samples, got {phase.points}")
     span = phase.hi - phase.lo
     if span * phase.points / (phase.points - 1) < 2 * math.pi - 1e-9:
         raise ConfigError("darkmode phase_grid must cover a full period of 2*pi")
-    setup = build_cascade(
-        geo.zeta,
-        geo.cavity_length,
-        geo.fiber_length,
-        geo.cavity_order,
-        geo.fiber_order,
-        fiber_alignment=config.fiber_alignment,
-    )
     omega = _omega_grid(config, setup, grid_points, DARKMODE_DEFAULT_POINTS)
     phis = np.linspace(phase.lo, phase.hi, phase.points)
     scan = dark_mode_scan(setup.stack, omega, phis, metadata=setup.metadata())
@@ -295,12 +267,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
 
 def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Matched coupled-mode parameters with formula provenance -> params.json."""
-    geo = config.geometry
-    if geo.single_cavity:
-        raise ConfigError("match runs require the cascaded geometry")
-    match = match_cascaded(
-        geo.zeta, geo.cavity_length, geo.fiber_length, geo.cavity_order, geo.fiber_order
-    )
+    match = _cascade(config, "match").match
     a_in, d_in, d_phase, eta_l, eta_r, phi = _resolve_drive(config.drive, match.kappa)
     payload = {
         "version": __version__,

@@ -18,8 +18,12 @@ Conventions (fixed throughout the package):
 * Units: c = 1, so wavenumber and angular frequency coincide; lengths are
   measured in units of the reference cavity length.
 
-Every matrix factor has determinant exactly 1, which the boundary solver
-exploits: with det M = 1 the outgoing amplitudes are
+One engine evaluates every stack, over wavenumbers and drives of any
+broadcast shape: ``compose`` gives the stack's matrix entries,
+``region_amplitude_sweep`` the amplitude pair of every homogeneous region
+under two-sided drive, and ``field_profile`` the amplitudes at arbitrary
+positions.  Every matrix factor has determinant exactly 1, which the
+boundary solve exploits: with det M = 1 the outgoing amplitudes are
 
     b_out = (d_in - m21 * a_in) / m22
     c_out = (a_in + m12 * d_in) / m22
@@ -30,11 +34,9 @@ both free of the catastrophic cancellation that the textbook form
 
 from __future__ import annotations
 
-import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -43,38 +45,6 @@ from .errors import InvalidParameterError, SingularBoundaryError
 # m22 of a lossless stack is 1/t*; |t| > 0 for finite real zeta, so this
 # guard only trips on numerically degenerate input.
 _M22_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 complex matrix relating (A, B) on the left to (C, D) on the right."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    @property
-    def determinant(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def apply(self, right_amp: complex, left_amp: complex) -> tuple[complex, complex]:
-        """Map an amplitude pair across the element (left side -> right side)."""
-        return (
-            self.m11 * right_amp + self.m12 * left_amp,
-            self.m21 * right_amp + self.m22 * left_amp,
-        )
-
-
-IDENTITY = TransferMatrix(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
 @dataclass(frozen=True)
@@ -150,62 +120,6 @@ class OpticalStack:
         return [i for i, e in enumerate(self.elements) if isinstance(e, Gap)]
 
 
-@dataclass(frozen=True)
-class BoundaryDrive:
-    """Incoming amplitudes: a_in from the left, d_in from the right, at wavenumber k."""
-
-    a_in: complex
-    d_in: complex
-    k: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise InvalidParameterError(f"wavenumber must be positive and finite, got {self.k!r}")
-        for name in ("a_in", "d_in"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class RegionAmplitudes:
-    """Plane-wave amplitude pair of one homogeneous region, at its reference position."""
-
-    position: float
-    right_amp: complex
-    left_amp: complex
-
-    @property
-    def intensity(self) -> float:
-        """|A|^2 + |B|^2; constant throughout the region."""
-        return abs(self.right_amp) ** 2 + abs(self.left_amp) ** 2
-
-
-@dataclass(frozen=True)
-class ScatteringSolution:
-    """Outgoing amplitudes plus the amplitude pair of every homogeneous region."""
-
-    b_out: complex
-    c_out: complex
-    interface_amps: tuple[RegionAmplitudes, ...]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    position: float
-    right_amp: complex
-    left_amp: complex
-    intensity: float
-
-
-def mirror_matrix(zeta: float) -> TransferMatrix:
-    """Transfer matrix of a lossless point mirror with polarizability ``zeta``."""
-    if not math.isfinite(zeta):
-        raise InvalidParameterError(f"mirror polarizability must be finite, got {zeta!r}")
-    iz = 1j * zeta
-    return TransferMatrix(1.0 + iz, iz, -iz, 1.0 - iz)
-
-
 def reflectivity(zeta: float) -> complex:
     """Amplitude reflectivity r = i*zeta / (1 - i*zeta)."""
     if not math.isfinite(zeta):
@@ -218,85 +132,6 @@ def transmissivity(zeta: float) -> complex:
     if not math.isfinite(zeta):
         raise InvalidParameterError(f"mirror polarizability must be finite, got {zeta!r}")
     return 1.0 / (1.0 - 1j * zeta)
-
-
-def propagation_matrix(k: float, d: float) -> TransferMatrix:
-    """Transfer matrix of free propagation over distance ``d`` at wavenumber ``k``."""
-    if not (math.isfinite(k) and k > 0):
-        raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
-    if not (math.isfinite(d) and d > 0):
-        raise InvalidParameterError(f"propagation distance must be positive and finite, got {d!r}")
-    phase = cmath.exp(1j * k * d)
-    return TransferMatrix(phase, 0j, 0j, 1.0 / phase)
-
-
-def element_matrix(element: StackElement, k: float) -> TransferMatrix:
-    if isinstance(element, Mirror):
-        return mirror_matrix(element.zeta)
-    return propagation_matrix(k, element.length)
-
-
-def compose(stack: OpticalStack, k: float) -> TransferMatrix:
-    """Left-to-right product over the stack: composing [X, Y] gives M(Y) @ M(X)."""
-    if not (math.isfinite(k) and k > 0):
-        raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
-    total = IDENTITY
-    for e in stack.elements:
-        total = element_matrix(e, k) @ total
-    return total
-
-
-def solve_boundary(stack: OpticalStack, drive: BoundaryDrive) -> ScatteringSolution:
-    """Solve for outgoing and per-region amplitudes given two-sided incoming drive.
-
-    Linear in the drive: scaling (a_in, d_in) by a constant scales every
-    amplitude by the same constant.
-    """
-    matrices = [element_matrix(e, drive.k) for e in stack.elements]
-    total = IDENTITY
-    for m in matrices:
-        total = m @ total
-
-    if abs(total.m22) < _M22_FLOOR:
-        raise SingularBoundaryError(f"stack transfer matrix is numerically singular (|m22| = {abs(total.m22):.3e})")
-
-    a_in = complex(drive.a_in)
-    d_in = complex(drive.d_in)
-    b_out = (d_in - total.m21 * a_in) / total.m22
-    # det M = 1 exactly for mirror/gap products, so m11 - m12*m21/m22 = 1/m22.
-    c_out = (a_in + total.m12 * d_in) / total.m22
-
-    positions = stack.boundary_positions()
-    amps = [RegionAmplitudes(positions[0], a_in, b_out)]
-    right, left = a_in, b_out
-    for i, m in enumerate(matrices):
-        right, left = m.apply(right, left)
-        amps.append(RegionAmplitudes(positions[i + 1], right, left))
-    return ScatteringSolution(b_out=b_out, c_out=c_out, interface_amps=tuple(amps))
-
-
-def field_profile(
-    stack: OpticalStack, drive: BoundaryDrive, positions: Sequence[float]
-) -> list[FieldSample]:
-    """Amplitudes and intensity |A|^2 + |B|^2 at arbitrary positions.
-
-    A position on a mirror belongs to the region on the mirror's right.
-    Positions outside the stack use the outer-region amplitudes.
-    """
-    solution = solve_boundary(stack, drive)
-    refs = [amp.position for amp in solution.interface_amps]
-    k = drive.k
-    samples = []
-    for x in positions:
-        idx = bisect_right(refs, x) - 1
-        if idx < 0:
-            idx = 0
-        region = solution.interface_amps[idx]
-        phase = cmath.exp(1j * k * (x - region.position))
-        right = region.right_amp * phase
-        left = region.left_amp / phase
-        samples.append(FieldSample(x, right, left, abs(right) ** 2 + abs(left) ** 2))
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -333,68 +168,102 @@ def four_mirror_chain(zeta: float, cavity_length: float, fiber_length: float) ->
 
 
 # ---------------------------------------------------------------------------
-# Vectorized internals used by the sweep engine.  Matrices are represented as
-# four complex ndarrays broadcast over the wavenumber grid.
+# The transfer-matrix engine.  A matrix is its four entries (m11, m12, m21,
+# m22); mirror entries are scalars, gap entries arrays shaped like k.
 
 
-def _element_matrix_arrays(element: StackElement, k: np.ndarray):
-    if isinstance(element, Mirror):
-        iz = 1j * element.zeta
-        one = np.ones_like(k, dtype=complex)
-        return (1.0 + iz) * one, iz * one, -iz * one, (1.0 - iz) * one
-    phase = np.exp(1j * k * element.length)
-    zero = np.zeros_like(k, dtype=complex)
-    return phase, zero, zero, 1.0 / phase
+def _check_wavenumbers(k) -> np.ndarray:
+    k = np.asarray(k, dtype=float)
+    bad = k[~(np.isfinite(k) & (k > 0))]
+    if bad.size:
+        raise InvalidParameterError(f"wavenumber must be positive and finite, got {float(bad[0])!r}")
+    return k
 
 
-def _matmul_arrays(a, b):
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
-
-
-def _compose_arrays(stack: OpticalStack, k: np.ndarray):
-    one = np.ones_like(k, dtype=complex)
-    zero = np.zeros_like(k, dtype=complex)
-    total = (one, zero, zero, one)
+def _element_factors(stack: OpticalStack, k: np.ndarray) -> list[tuple]:
+    factors = []
     for e in stack.elements:
-        total = _matmul_arrays(_element_matrix_arrays(e, k), total)
-    return total
+        if isinstance(e, Mirror):
+            iz = 1j * e.zeta
+            factors.append((1.0 + iz, iz, -iz, 1.0 - iz))
+        else:
+            phase = np.exp(1j * k * e.length)
+            factors.append((phase, 0.0, 0.0, 1.0 / phase))
+    return factors
 
 
-def transmission_sweep(stack: OpticalStack, k: np.ndarray) -> np.ndarray:
-    """Normalized transmitted intensity |c_out/a_in|^2 with single-sided drive."""
-    k = np.asarray(k, dtype=float)
-    _, _, _, m22 = _compose_arrays(stack, k)
-    return 1.0 / np.abs(m22) ** 2
+def _apply(m, right, left):
+    """Map an amplitude pair across one element (left side -> right side)."""
+    m11, m12, m21, m22 = m
+    return m11 * right + m12 * left, m21 * right + m22 * left
 
 
-def region_amplitude_sweep(stack: OpticalStack, k: np.ndarray, a_in, d_in):
-    """Per-region amplitude pairs over a wavenumber grid.
+def _product(factors):
+    """Left-to-right product: composing [X, Y] gives M(Y) @ M(X), column by column."""
+    m11, m12, m21, m22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for m in factors:
+        m11, m21 = _apply(m, m11, m21)
+        m12, m22 = _apply(m, m12, m22)
+    return m11, m12, m21, m22
 
-    Returns a list of (right_amp, left_amp) ndarray pairs, one per region,
-    in the same order as ``solve_boundary``'s interface_amps.  ``a_in`` and
-    ``d_in`` may be scalars or arrays broadcastable against ``k``.
+
+def compose(stack: OpticalStack, k):
+    """Entries (m11, m12, m21, m22) of the stack's transfer matrix, read-only arrays shaped like ``k``."""
+    k = _check_wavenumbers(k)
+    entries = _product(_element_factors(stack, k))
+    return tuple(np.broadcast_to(np.asarray(m, dtype=complex), k.shape) for m in entries)
+
+
+def region_amplitude_sweep(stack: OpticalStack, k, a_in, d_in) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Amplitude pair (A, B) of every region for incoming a_in (left) and d_in (right).
+
+    ``k``, ``a_in`` and ``d_in`` broadcast together, and every returned array
+    has their broadcast shape (the drive arrays are read-only views).  Region
+    0 lies left of the stack and region i right of element i - 1, so the
+    first pair is (a_in, b_out) and the last (c_out, d_in).  Interior regions
+    are propagated forward from the left.  Linear in the drive.
     """
-    k = np.asarray(k, dtype=float)
-    per_element = [_element_matrix_arrays(e, k) for e in stack.elements]
-    one = np.ones_like(k, dtype=complex)
-    zero = np.zeros_like(k, dtype=complex)
-    total = (one, zero, zero, one)
-    for m in per_element:
-        total = _matmul_arrays(m, total)
-    _, m12, m21, m22 = total
-    a = np.asarray(a_in, dtype=complex) * one
-    d = np.asarray(d_in, dtype=complex) * one
+    k = _check_wavenumbers(k)
+    a = np.asarray(a_in, dtype=complex)
+    d = np.asarray(d_in, dtype=complex)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+        raise InvalidParameterError("drive amplitudes a_in and d_in must be finite")
+    shape = np.broadcast_shapes(k.shape, a.shape, d.shape)
+    a, d = np.broadcast_to(a, shape), np.broadcast_to(d, shape)
+    factors = _element_factors(stack, k)
+    _, m12, m21, m22 = _product(factors)
+    if np.any(np.abs(m22) < _M22_FLOOR):
+        smallest = float(np.min(np.abs(m22)))
+        raise SingularBoundaryError(f"stack transfer matrix is numerically singular (|m22| = {smallest:.3e})")
     b_out = (d - m21 * a) / m22
+    # det M = 1 exactly for mirror/gap products, so m11 - m12*m21/m22 = 1/m22.
+    c_out = (a + m12 * d) / m22
+
     regions = [(a, b_out)]
-    right, left = a, b_out
-    for m11, m12, m21, m22 in per_element:
-        right, left = m11 * right + m12 * left, m21 * right + m22 * left
-        regions.append((right, left))
+    for m in factors[:-1]:
+        regions.append(_apply(m, *regions[-1]))
+    if factors:
+        # not propagated: the last step would reintroduce the cancellation
+        regions.append((c_out, d))
     return regions
+
+
+def field_profile(stack: OpticalStack, k, a_in, d_in, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (A(x), B(x)) at arbitrary positions; the intensity is |A|^2 + |B|^2.
+
+    The arrays have the broadcast shape of ``k``, ``a_in`` and ``d_in``
+    followed by one axis over the 1-d ``positions``.  A position on a mirror
+    belongs to the region on the mirror's right; positions outside the stack
+    use the outer-region amplitudes.
+    """
+    x = np.atleast_1d(np.asarray(positions, dtype=float))
+    if x.ndim != 1:
+        raise InvalidParameterError("positions must be a 1-d sequence")
+    regions = region_amplitude_sweep(stack, k, a_in, d_in)
+    refs = np.asarray(stack.boundary_positions())
+    idx = np.maximum(np.searchsorted(refs, x, side="right") - 1, 0)
+    k = np.broadcast_to(np.asarray(k, dtype=float), regions[0][0].shape)[..., None]
+    phase = np.exp(1j * k * (x - refs[idx]))
+    right = np.stack([r for r, _ in regions], axis=-1)[..., idx] * phase
+    left = np.stack([b for _, b in regions], axis=-1)[..., idx] / phase
+    return right, left

@@ -14,7 +14,7 @@ records both lengths in its metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -567,38 +567,30 @@ class ComparisonCurves:
     metadata: dict
 
 
-def intensity_comparison(
-    zeta: float,
-    l_c: float,
-    l_f: float,
-    n_c: int,
-    omega_grid=None,
-    *,
-    points: int = DEFAULT_GRID_POINTS,
-    fiber_alignment: str = "resonant",
-) -> ComparisonCurves:
-    """Left/right cavity intensities for a left-side drive, in both models.
+def intensity_comparison(setup: CascadeSetup, omega_grid) -> ComparisonCurves:
+    """Left/right cavity intensities for a unit left-side drive, in both models.
 
     Scattering curves are |A|^2 + |B|^2 of the cavity gap regions with
     a_in = 1; coupled curves are the photon numbers |alpha|^2, |beta|^2 with
-    the matched drive eta_l = sqrt(kappa).
+    the matched drive eta_l = sqrt(kappa).  The drive the setup carries is
+    replaced by this one.
     """
-    setup = build_cascade(zeta, l_c, l_f, n_c, fiber_alignment=fiber_alignment)
-    grid = _check_grid(omega_grid) if omega_grid is not None else default_omega_window(setup, points)
+    grid = _check_grid(omega_grid)
+    system = replace(setup.system, eta_l=eta_from_input(setup.match.kappa, 1.0), eta_r=0.0, phi=0.0)
     regions = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0)
     gap_regions = setup.stack.gap_region_indices()
     left = regions[gap_regions[0]]
     right = regions[gap_regions[2]]
     scat_left = np.abs(left[0]) ** 2 + np.abs(left[1]) ** 2
     scat_right = np.abs(right[0]) ** 2 + np.abs(right[1]) ** 2
-    alpha, beta, _ = _steady_state_arrays(setup.system, grid)
+    alpha, beta, _ = _steady_state_arrays(system, grid)
     return ComparisonCurves(
         omega=grid,
         scattering_left=scat_left,
         scattering_right=scat_right,
         coupled_left=np.abs(alpha) ** 2,
         coupled_right=np.abs(beta) ** 2,
-        metadata=setup.metadata(),
+        metadata=replace(setup, system=system).metadata(),
     )
 
 
@@ -611,12 +603,9 @@ def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid, metadata: dict | N
     phis = np.asarray(phi_grid, dtype=float)
     if phis.ndim != 1 or phis.size < 1 or not np.all(np.isfinite(phis)):
         raise InvalidParameterError("phase grid must be a finite 1-d array")
-    fiber_region = gaps[1]
-    intensity = np.empty((grid.size, phis.size))
-    for j, phi in enumerate(phis):
-        regions = region_amplitude_sweep(stack, grid, 1.0, np.exp(-1j * phi))
-        a_f, b_f = regions[fiber_region]
-        intensity[:, j] = np.abs(a_f) ** 2 + np.abs(b_f) ** 2
+    regions = region_amplitude_sweep(stack, grid[:, None], 1.0, np.exp(-1j * phis)[None, :])
+    a_f, b_f = regions[gaps[1]]
+    intensity = np.abs(a_f) ** 2 + np.abs(b_f) ** 2
     return PhaseScan(grid, phis, intensity, metadata or {})
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from cascavity.cli import main
+from cascavity.config import parse_config
 from cascavity.errors import FitFailureError
 
 
@@ -229,3 +230,19 @@ class TestMatchCommand:
         assert result.exit_code == 0
         assert (tmp_path / "custom" / "params.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_pump_drive_strengths_reach_the_provenance(self, tmp_path):
+        blocks = []
+        for eta_r in (0.05, 0.07):
+            raw = cascade_config(tmp_path / f"out{eta_r}", drive={"eta_l": 0.1, "eta_r": eta_r, "phi": 0.5})
+            resolved = parse_config(raw).resolved()
+            pump = {key: resolved["drive"][key] for key in ("kind", "eta_l", "eta_r", "phi")}
+            assert pump == {"kind": "pump", "eta_l": 0.1, "eta_r": eta_r, "phi": 0.5}
+            result = CliRunner().invoke(main, ["match", "--config", str(write_config(tmp_path, raw))])
+            assert result.exit_code == 0, result.output
+            blocks.append(json.loads((tmp_path / f"out{eta_r}" / "params.json").read_text())["config"])
+        assert blocks[0] != blocks[1]
+        assert blocks[0]["drive"]["eta_r"] == 0.05 and blocks[1]["drive"]["eta_r"] == 0.07
+        # field drives keep their headers: no pump keys
+        field = parse_config(cascade_config("out")).resolved()["drive"]
+        assert field == {"kind": "field", "a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}

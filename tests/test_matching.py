@@ -15,20 +15,18 @@ from cascavity import (
     symmetric_cavity,
     three_mirror_chain,
 )
-from cascavity.scattering import transmission_sweep
-
-from test_scattering import brute_force_peak
+from test_scattering import brute_force_peak, transmission
 
 
 def half_width_by_bisection(stack, k_peak, kappa_guess):
     """HWHM of the brute-force transmission line; independent of any fit."""
-    t_half = 0.5 * transmission_sweep(stack, np.array([k_peak]))[0]
+    t_half = 0.5 * transmission(stack, k_peak)
 
     def width(side):
         lo, hi = k_peak, k_peak + side * 20 * kappa_guess
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if transmission_sweep(stack, np.array([mid]))[0] > t_half:
+            if transmission(stack, mid) > t_half:
                 lo = mid
             else:
                 hi = mid

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scattering_oracle as oracle
 from cascavity import (
     FitFailureError,
     InvalidParameterError,
@@ -25,6 +26,7 @@ from cascavity import (
     symmetric_cavity,
     three_peak_distances,
     OpticalStack,
+    region_amplitude_sweep,
 )
 
 
@@ -223,8 +225,12 @@ class TestPeakSeparationDelta:
 
 
 class TestIntensityComparison:
+    def setup_method(self):
+        self.setup = build_cascade(5.0, 1.0, 5.0, 10)
+        self.grid = default_omega_window(self.setup, 3001)
+
     def test_peak_frequencies_agree_between_models(self):
-        curves = intensity_comparison(5.0, 1.0, 5.0, 10, points=3001)
+        curves = intensity_comparison(self.setup, self.grid)
         omega = curves.omega
         scat_peak = omega[np.argmax(curves.scattering_right)]
         coup_peak = omega[np.argmax(curves.coupled_right)]
@@ -232,7 +238,7 @@ class TestIntensityComparison:
         assert abs(scat_peak - coup_peak) < kappa
 
     def test_peak_magnitudes_differ_at_finite_zeta(self):
-        curves = intensity_comparison(5.0, 1.0, 5.0, 10, points=3001)
+        curves = intensity_comparison(self.setup, self.grid)
         ratio = curves.scattering_right.max() / curves.coupled_right.max()
         assert abs(ratio - 1.0) > 0.05
 
@@ -240,7 +246,7 @@ class TestIntensityComparison:
         zeta = 40.0
         omega_c = omega_c_from_geometry(zeta, 1.0, 10)
         grid = np.linspace(omega_c + 1.2, omega_c + 1.9, 101)
-        curves = intensity_comparison(zeta, 1.0, 5.0, 10, grid)
+        curves = intensity_comparison(build_cascade(zeta, 1.0, 5.0, 10), grid)
         for arr in (
             curves.scattering_left,
             curves.scattering_right,
@@ -248,6 +254,15 @@ class TestIntensityComparison:
             curves.coupled_right,
         ):
             assert np.all(arr < 1e-3)
+
+    def test_setup_drive_is_replaced_by_unit_left_drive(self):
+        driven = build_cascade(5.0, 1.0, 5.0, 10, a_in=0.3, d_in=0.8, phi=1.0)
+        curves = intensity_comparison(driven, self.grid)
+        plain = intensity_comparison(self.setup, self.grid)
+        assert np.array_equal(curves.coupled_left, plain.coupled_left)
+        assert np.array_equal(curves.coupled_right, plain.coupled_right)
+        assert np.array_equal(curves.scattering_right, plain.scattering_right)
+        assert curves.metadata == plain.metadata
 
 
 class TestDarkModeScan:
@@ -276,13 +291,44 @@ class TestDarkModeScan:
         assert abs(phi_at_min) < 0.1
 
     def test_matches_scalar_boundary_solve(self):
-        from cascavity import BoundaryDrive, solve_boundary
-
         i, j = 80, 13
-        drive = BoundaryDrive(1.0, np.exp(-1j * self.phis[j]), float(self.omega[i]))
-        sol = solve_boundary(self.setup.stack, drive)
-        fiber = sol.interface_amps[3]
-        assert self.scan.intensity[i, j] == pytest.approx(fiber.intensity, rel=1e-12)
+        _, _, regions = oracle.solve(self.setup.stack, float(self.omega[i]), 1.0, np.exp(-1j * self.phis[j]))
+        right, left = regions[3]
+        assert self.scan.intensity[i, j] == pytest.approx(abs(right) ** 2 + abs(left) ** 2, rel=1e-12)
+
+    def test_batched_scan_matches_per_phi_loop_bitwise(self):
+        loop = np.empty((self.omega.size, self.phis.size))
+        for j, phi in enumerate(self.phis):
+            right, left = region_amplitude_sweep(self.setup.stack, self.omega, 1.0, np.exp(-1j * phi))[3]
+            loop[:, j] = np.abs(right) ** 2 + np.abs(left) ** 2
+        assert np.array_equal(self.scan.intensity, loop)
+
+
+class TestHighZetaAccuracy:
+    """Four-mirror chain at zeta = 1000 (README geometry) on a 40,001-point grid.
+
+    The transmitted amplitude must come from the det M = 1 closed form
+    c_out = (a_in + m12*d_in)/m22; propagating the drive forward through the
+    stack loses up to 7e-3 relative here, which adds hundreds of spurious
+    local maxima to the spectrum.
+    """
+
+    @classmethod
+    def setup_class(cls):
+        cls.setup = build_cascade(1000.0, 1.0, 5.0, 10)
+        cls.grid = default_omega_window(cls.setup, 40001)
+        cls.values = sweep_scattering(cls.setup.stack, cls.grid).values
+
+    def test_matches_two_sided_oracle(self):
+        peaks = [13333, 20000, 26667]  # omega_c and omega_c -+ sqrt(2) g
+        for i in peaks + list(range(0, self.grid.size, 400)):
+            _, c_out, _ = oracle.solve(self.setup.stack, float(self.grid[i]), 1.0, 0.0)
+            assert self.values[i] == pytest.approx(abs(c_out) ** 2, rel=1e-8)
+        assert all(self.values[i] > 0.5 for i in peaks)
+
+    def test_exactly_three_local_maxima(self):
+        v = self.values
+        assert np.count_nonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) == 3
 
 
 class TestSinusoidFit:
