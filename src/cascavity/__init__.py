@@ -59,7 +59,6 @@ from .spectra import (
     intensity_comparison,
     lorentzian_fit,
     peak_separation_delta,
-    phase_scan_fits,
     sinusoid_fit,
     sweep_coupled,
     sweep_scattering,

@@ -39,6 +39,8 @@ SCHEMA_VERSION = 1
 
 MODELS = ("scattering", "coupled", "both")
 ALIGNMENTS = ("resonant", "nominal")
+# The keys of each drive kind; a config and its resolved form carry one kind's keys only.
+DRIVE_KEYS = {"field": ("a_in", "d_in", "d_phase"), "pump": ("eta_l", "eta_r", "phi")}
 
 
 def _require_keys(section: dict, allowed: set[str], where: str):
@@ -145,14 +147,10 @@ class ExperimentConfig:
             "fiber_alignment": self.fiber_alignment,
             "drive": {
                 "kind": self.drive.kind,
-                "a_in": self.drive.a_in,
-                "d_in": self.drive.d_in,
-                "d_phase": self.drive.d_phase,
+                **{key: getattr(self.drive, key) for key in DRIVE_KEYS[self.drive.kind]},
             },
             "output": {"directory": self.output.directory, "svg": self.output.svg},
         }
-        if self.drive.kind == "pump":
-            d["drive"].update(eta_l=self.drive.eta_l, eta_r=self.drive.eta_r, phi=self.drive.phi)
         if self.sweep is not None:
             d["sweep"] = {
                 "parameter": self.sweep.parameter,
@@ -227,8 +225,7 @@ def _parse_phase(raw) -> PhaseConfig:
 def _parse_drive(raw) -> DriveConfig:
     if not isinstance(raw, dict):
         raise ConfigError("drive must be an object")
-    field_keys = {"a_in", "d_in", "d_phase"}
-    pump_keys = {"eta_l", "eta_r", "phi"}
+    field_keys, pump_keys = set(DRIVE_KEYS["field"]), set(DRIVE_KEYS["pump"])
     _require_keys(raw, field_keys | pump_keys, "drive")
     has_field = bool(field_keys & raw.keys())
     has_pump = bool(pump_keys & raw.keys())

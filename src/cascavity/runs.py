@@ -21,7 +21,6 @@ from .spectra import (
     default_omega_window,
     intensity_comparison,
     peak_separation_delta,
-    phase_scan_fits,
     sweep_coupled,
     sweep_scattering,
 )
@@ -76,6 +75,8 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     geo = config.geometry
     kappa = kappa_from_geometry(geo.zeta, geo.cavity_length)
     a_in, d_in, d_phase, _, _, _ = _resolve_drive(config.drive, kappa)
+    if a_in == 0 and config.model != "coupled":
+        raise ConfigError("the scattering spectrum needs a left drive: drive.a_in (or drive.eta_l) must be > 0")
     if not geo.single_cavity:
         setup = _cascade(config, "spectrum", a_in=a_in, d_in=d_in, phi=d_phase)
     elif d_in != 0.0:
@@ -121,6 +122,8 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
     """Side-peak distance differences over the zeta grid -> delta.csv [delta.svg]."""
     if not config.zeta_grid:
         raise ConfigError("delta runs require a zeta_grid")
+    if config.sweep is not None:
+        raise ConfigError("delta runs do not read 'sweep': each zeta gets its own window; size it with --grid-points")
     geo = config.geometry
     if geo.single_cavity:
         raise ConfigError("delta runs require the cascaded geometry")
@@ -228,18 +231,17 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
             config.resolved(),
         )
     ]
-    fits = phase_scan_fits(scan)
-    phi_min = [math.remainder(f.phi0 + math.pi, 2 * math.pi) for f in fits]
+    closed_form = scan.c0[:, None] + scan.c1[:, None] * np.cos(scan.phi_grid - scan.phi0[:, None])
     paths.append(
         write_csv(
             out_dir / "darkmode_fit.csv",
             [
                 ("omega", scan.omega_grid),
-                ("c0", [f.c0 for f in fits]),
-                ("c1", [f.c1 for f in fits]),
-                ("phi0", [f.phi0 for f in fits]),
-                ("residual", [f.max_residual for f in fits]),
-                ("phi_min", phi_min),
+                ("c0", scan.c0),
+                ("c1", scan.c1),
+                ("phi0", scan.phi0),
+                ("residual", np.max(np.abs(scan.intensity - closed_form), axis=1)),
+                ("phi_min", np.remainder(scan.phi0, 2 * math.pi) - math.pi),
                 ("omega_over_omega_c", scan.omega_grid / omega_c),
             ],
             __version__,

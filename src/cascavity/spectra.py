@@ -96,11 +96,17 @@ class PeakSet:
 
 @dataclass(frozen=True)
 class PhaseScan:
-    """Fiber-region intensity on an (omega, phi) grid; intensity[i, j] ~ (omega_i, phi_j)."""
+    """Fiber-region intensity on an (omega, phi) grid; intensity[i, j] ~ (omega_i, phi_j).
+
+    Row i is exactly c0[i] + c1[i] * cos(phi - phi0[i]); see ``dark_mode_scan``.
+    """
 
     omega_grid: np.ndarray
     phi_grid: np.ndarray
     intensity: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    phi0: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -148,12 +154,12 @@ def sweep_scattering(
     d_in: complex = 0.0,
     metadata: dict | None = None,
 ) -> Spectrum:
-    """Transmitted intensity |c_out|^2 / |a_in|^2 versus drive frequency (k = omega)."""
+    """Transmitted intensity |c_out|^2 / |a_in|^2 versus drive frequency (k = omega); needs a_in != 0."""
+    if a_in == 0:
+        raise InvalidParameterError("transmitted intensity is normalised by |a_in|^2; a_in must be nonzero")
     grid = _check_grid(omega_grid)
-    regions = region_amplitude_sweep(stack, grid, a_in, d_in)
-    c_out = regions[-1][0]
-    norm = abs(complex(a_in)) ** 2
-    values = np.abs(c_out) ** 2 / (norm if norm > 0 else 1.0)
+    c_out = region_amplitude_sweep(stack, grid, a_in, d_in)[-1][0]
+    values = np.abs(c_out) ** 2 / abs(complex(a_in)) ** 2
     meta = {"model": "scattering", "a_in": complex(a_in), "d_in": complex(d_in)}
     if metadata:
         meta.update(metadata)
@@ -207,18 +213,11 @@ def _refine_peak(x: np.ndarray, v: np.ndarray, i: int) -> tuple[float, float]:
 
 def _prominence(v: np.ndarray, i: int) -> float:
     """Topographic prominence: height above the higher of the two key saddles."""
-    h = v[i]
-    left_min = h
-    for j in range(i - 1, -1, -1):
-        if v[j] > h:
-            break
-        left_min = min(left_min, v[j])
-    right_min = h
-    for j in range(i + 1, len(v)):
-        if v[j] > h:
-            break
-        right_min = min(right_min, v[j])
-    return h - max(left_min, right_min)
+    higher = np.flatnonzero(v > v[i])
+    k = int(np.searchsorted(higher, i))
+    lo = higher[k - 1] + 1 if k > 0 else 0
+    hi = higher[k] if k < higher.size else v.size
+    return v[i] - max(v[lo : i + 1].min(), v[i:hi].min())
 
 
 def _half_max_width(x: np.ndarray, v: np.ndarray, i: int, height: float) -> float:
@@ -249,10 +248,11 @@ def _half_max_width(x: np.ndarray, v: np.ndarray, i: int, height: float) -> floa
 def find_peaks(spectrum: Spectrum, min_prominence: float = DEFAULT_PROMINENCE) -> PeakSet:
     """Local maxima refined by log-parabolic interpolation.
 
-    Candidates are strict 3-point maxima (plateaus count once, at their
-    leftmost point) kept when their topographic prominence reaches
-    ``min_prominence`` times the global maximum.  Widths are half-maximum
-    crossing estimates; use ``lorentzian_fit`` for refined parameters.
+    Candidates are runs of equal samples strictly above both neighbouring
+    runs (a plateau counts once, at its leftmost point; a run at either end
+    never counts) whose topographic prominence reaches ``min_prominence``
+    times the global maximum.  Widths are half-maximum crossing estimates;
+    use ``lorentzian_fit`` for refined parameters.
     """
     x, v = spectrum.x, spectrum.values
     if len(v) < 3:
@@ -261,26 +261,20 @@ def find_peaks(spectrum: Spectrum, min_prominence: float = DEFAULT_PROMINENCE) -
     if vmax <= 0.0:
         return PeakSet(())
     threshold = min_prominence * vmax
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    runs = v[starts]
+    tops = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
     peaks = []
-    i = 1
-    n = len(v)
-    while i < n - 1:
-        if v[i] > v[i - 1]:
-            j = i
-            while j + 1 < n and v[j + 1] == v[i]:
-                j += 1
-            if j < n - 1 and v[j + 1] < v[i]:
-                if _prominence(v, i) >= threshold:
-                    if j > i:
-                        # plateau: the tie resolves to its leftmost point
-                        center, height = float(x[i]), float(v[i])
-                    else:
-                        center, height = _refine_peak(x, v, i)
-                    width = _half_max_width(x, v, i, v[i])
-                    peaks.append(Peak(center, width, height, 0.0))
-            i = j + 1
+    for k in tops:
+        i = starts[k]
+        if _prominence(v, i) < threshold:
+            continue
+        if starts[k + 1] - i > 1:
+            # plateau: the tie resolves to its leftmost point
+            center, height = float(x[i]), float(v[i])
         else:
-            i += 1
+            center, height = _refine_peak(x, v, i)
+        peaks.append(Peak(center, _half_max_width(x, v, i, v[i]), height, 0.0))
     return PeakSet(tuple(peaks))
 
 
@@ -595,7 +589,11 @@ def intensity_comparison(setup: CascadeSetup, omega_grid) -> ComparisonCurves:
 
 
 def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid, metadata: dict | None = None) -> PhaseScan:
-    """Fiber-region intensity for drives a_in = 1, d_in = e^{-i*phi} on an (omega, phi) grid."""
+    """Fiber-region intensity for drives a_in = 1, d_in = e^{-i*phi} on an (omega, phi) grid.
+
+    The fiber field is u + e^{-i*phi} v, with u from drive (1, 0) and v from (0, 1),
+    so c0 = |u|^2 + |v|^2, c1 = 2|<u, v>| and phi0 = arg <u, v>: two solves, no fit.
+    """
     gaps = stack.gap_region_indices()
     if stack.mirror_count != 4 or len(gaps) != 3:
         raise InvalidParameterError("dark-mode scan requires a four-mirror, three-gap stack")
@@ -603,17 +601,21 @@ def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid, metadata: dict | N
     phis = np.asarray(phi_grid, dtype=float)
     if phis.ndim != 1 or phis.size < 1 or not np.all(np.isfinite(phis)):
         raise InvalidParameterError("phase grid must be a finite 1-d array")
-    regions = region_amplitude_sweep(stack, grid[:, None], 1.0, np.exp(-1j * phis)[None, :])
-    a_f, b_f = regions[gaps[1]]
-    intensity = np.abs(a_f) ** 2 + np.abs(b_f) ** 2
-    return PhaseScan(grid, phis, intensity, metadata or {})
+    # column 0 of each (omega, 2) array is u, column 1 is v
+    a_f, b_f = region_amplitude_sweep(stack, grid[:, None], [1, 0], [0, 1])[gaps[1]]
+    r = np.exp(-1j * phis)
+    intensity = np.abs(a_f[:, :1] + r * a_f[:, 1:]) ** 2 + np.abs(b_f[:, :1] + r * b_f[:, 1:]) ** 2
+    c0 = np.sum(np.abs(a_f) ** 2 + np.abs(b_f) ** 2, axis=1)
+    s = np.conj(a_f[:, 0]) * a_f[:, 1] + np.conj(b_f[:, 0]) * b_f[:, 1]
+    return PhaseScan(grid, phis, intensity, c0, 2.0 * np.abs(s), np.angle(s), metadata or {})
 
 
 def sinusoid_fit(phi, values) -> SinusoidFit:
     """Linear least squares of values on {1, cos(phi), sin(phi)}.
 
     Requires at least 5 samples covering at least one full period.  Constant
-    (rank-deficient) data returns c1 = 0, phi0 = 0 by convention.
+    (rank-deficient) data returns c1 = 0, phi0 = 0 by convention.  Tests hold
+    the closed form of ``dark_mode_scan`` to this fit.
     """
     phi = np.asarray(phi, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -638,8 +640,3 @@ def sinusoid_fit(phi, values) -> SinusoidFit:
     phi0 = math.atan2(bs, bc)
     residual = float(np.max(np.abs(basis @ coef - v)))
     return SinusoidFit(c0, c1, phi0, residual)
-
-
-def phase_scan_fits(scan: PhaseScan) -> list[SinusoidFit]:
-    """Sinusoid fit of every omega row of a phase scan."""
-    return [sinusoid_fit(scan.phi_grid, scan.intensity[i, :]) for i in range(scan.omega_grid.size)]

@@ -108,6 +108,19 @@ class TestSpectrumCommand:
         svg = (tmp_path / "out" / "spectrum.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize(
+        "drive, key",
+        [({"a_in": 0.0, "d_in": 1.0}, "drive.a_in"), ({"eta_l": 0.0, "eta_r": 0.1}, "drive.eta_l")],
+    )
+    def test_zero_left_drive_is_config_error_for_scattering(self, tmp_path, drive, key):
+        # the scattering value is normalised by the left drive
+        for model, code in (("both", 2), ("scattering", 2), ("coupled", 0)):
+            cfg = write_config(tmp_path, cascade_config(tmp_path / "out", drive=drive, model=model))
+            result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--grid-points", "101"])
+            assert result.exit_code == code, (model, result.output)
+            if code:
+                assert key in result.output
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import cascavity.runs as runs
 
@@ -149,6 +162,13 @@ class TestDeltaCommand:
         _, _, rows = read_csv(tmp_path / "out" / "delta.csv")
         assert rows[0][5] != ""
         assert rows[0][3] == "nan"
+
+    def test_sweep_is_config_error(self, tmp_path):
+        sweep = {"parameter": "omega", "min": 31.4, "max": 31.8, "points": 101}
+        cfg = write_config(tmp_path, cascade_config(tmp_path / "out", zeta_grid=[5.0], sweep=sweep))
+        result = CliRunner().invoke(main, ["delta", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "sweep" in result.output and "--grid-points" in result.output
 
     def test_missing_zeta_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, cascade_config(tmp_path / "out"))
@@ -235,9 +255,9 @@ class TestMatchCommand:
         blocks = []
         for eta_r in (0.05, 0.07):
             raw = cascade_config(tmp_path / f"out{eta_r}", drive={"eta_l": 0.1, "eta_r": eta_r, "phi": 0.5})
-            resolved = parse_config(raw).resolved()
-            pump = {key: resolved["drive"][key] for key in ("kind", "eta_l", "eta_r", "phi")}
-            assert pump == {"kind": "pump", "eta_l": 0.1, "eta_r": eta_r, "phi": 0.5}
+            # only the pump keys: the unused field defaults stay out of the header
+            drive = parse_config(raw).resolved()["drive"]
+            assert drive == {"kind": "pump", "eta_l": 0.1, "eta_r": eta_r, "phi": 0.5}
             result = CliRunner().invoke(main, ["match", "--config", str(write_config(tmp_path, raw))])
             assert result.exit_code == 0, result.output
             blocks.append(json.loads((tmp_path / f"out{eta_r}" / "params.json").read_text())["config"])

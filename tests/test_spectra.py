@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import peaks_oracle
 import scattering_oracle as oracle
 from cascavity import (
     FitFailureError,
@@ -19,14 +20,12 @@ from cascavity import (
     omega_c_from_geometry,
     kappa_from_geometry,
     peak_separation_delta,
-    phase_scan_fits,
     sinusoid_fit,
     sweep_coupled,
     sweep_scattering,
     symmetric_cavity,
     three_peak_distances,
     OpticalStack,
-    region_amplitude_sweep,
 )
 
 
@@ -99,6 +98,12 @@ class TestSweeps:
         assert np.max(np.abs(gamma)) < 1e-14
         assert np.max(np.abs(alpha)) > 1.0  # cavity observables survive
 
+    def test_zero_left_drive_rejected(self):
+        # the transmitted intensity is normalised by |a_in|^2
+        setup = build_cascade(5.0, 1.0, 5.0, 10)
+        with pytest.raises(InvalidParameterError, match="a_in"):
+            sweep_scattering(setup.stack, default_omega_window(setup, 101), 0.0, 1.0)
+
     def test_grid_validation(self):
         stack = symmetric_cavity(5.0)
         with pytest.raises(InvalidParameterError):
@@ -138,6 +143,21 @@ class TestFindPeaks:
     def test_needs_three_points(self):
         with pytest.raises(InvalidParameterError):
             find_peaks(Spectrum("omega", [1.0, 2.0], [0.0, 1.0]))
+
+    def test_matches_sample_walk(self):
+        # repeated levels make plateaus, inside and at either end of the grid;
+        # half the spectra add bumps of ~1e-4 of the maximum
+        rng = np.random.default_rng(20140430)
+        for _ in range(400):
+            n = int(rng.integers(3, 40))
+            levels = rng.integers(0, 5, n) + rng.choice([0.0, 1e-3]) * rng.random(n)
+            v = np.repeat(levels, rng.integers(1, 4, n))
+            v = np.r_[np.full(rng.integers(0, 3), v[0]), v, np.full(rng.integers(0, 3), v[-1])]
+            if v.max() == 0:
+                continue
+            x = np.linspace(1.0, 2.0, v.size)
+            for prominence in (0.0, 1e-4, 0.3):
+                assert find_peaks(Spectrum("omega", x, v), prominence) == peaks_oracle.find_peaks(x, v, prominence)
 
 
 class TestLorentzianFit:
@@ -277,8 +297,17 @@ class TestDarkModeScan:
             dark_mode_scan(symmetric_cavity(5.0), self.omega, self.phis)
 
     def test_columns_are_exact_sinusoids(self):
-        for fit in phase_scan_fits(self.scan):
-            assert fit.max_residual < 1e-9 * fit.c0
+        # the closed form against the least-squares fit of every row
+        scan = self.scan
+        for i in range(scan.omega_grid.size):
+            fit = sinusoid_fit(scan.phi_grid, scan.intensity[i])
+            c0, c1, phi0 = scan.c0[i], scan.c1[i], scan.phi0[i]
+            assert abs(c0 - fit.c0) <= 1e-11 * (c0 + c1)
+            assert abs(c1 - fit.c1) <= 1e-11 * (c0 + c1)
+            if c1 >= 1e-10 * c0:
+                assert abs(math.remainder(phi0 - fit.phi0, 2 * math.pi)) <= 1e-9
+            closed = c0 + c1 * np.cos(scan.phi_grid - phi0)
+            assert np.max(np.abs(scan.intensity[i] - closed)) <= 1e-13 * c0
 
     def test_minimum_stays_strictly_positive(self):
         assert self.scan.intensity.min() > 0.0
@@ -296,12 +325,15 @@ class TestDarkModeScan:
         right, left = regions[3]
         assert self.scan.intensity[i, j] == pytest.approx(abs(right) ** 2 + abs(left) ** 2, rel=1e-12)
 
-    def test_batched_scan_matches_per_phi_loop_bitwise(self):
-        loop = np.empty((self.omega.size, self.phis.size))
-        for j, phi in enumerate(self.phis):
-            right, left = region_amplitude_sweep(self.setup.stack, self.omega, 1.0, np.exp(-1j * phi))[3]
-            loop[:, j] = np.abs(right) ** 2 + np.abs(left) ** 2
-        assert np.array_equal(self.scan.intensity, loop)
+    def test_map_matches_per_phi_oracle(self):
+        for i in range(0, self.omega.size, 8):
+            k = float(self.omega[i])
+            u = oracle.solve(self.setup.stack, k, 1.0, 0.0)[2][3]
+            v = oracle.solve(self.setup.stack, k, 0.0, 1.0)[2][3]
+            scale = (math.hypot(*map(abs, u)) + math.hypot(*map(abs, v))) ** 2
+            for j, phi in enumerate(self.phis):
+                right, left = oracle.solve(self.setup.stack, k, 1.0, np.exp(-1j * phi))[2][3]
+                assert abs(self.scan.intensity[i, j] - (abs(right) ** 2 + abs(left) ** 2)) <= 1e-11 * scale
 
 
 class TestHighZetaAccuracy:
