@@ -1,13 +1,6 @@
 """Cascaded-cavity simulator: transfer-matrix and coupled-mode models side by side."""
 
-from .coupled import (
-    ModeAmplitudes,
-    ModeSystem,
-    photocurrent,
-    steady_state,
-    three_mode_eigenfrequencies,
-    two_mode_eigenfrequencies,
-)
+from .coupled import ModeSystem, three_mode_eigenfrequencies, two_mode_eigenfrequencies
 from .errors import (
     CascavityError,
     ConfigError,
@@ -19,7 +12,6 @@ from .errors import (
 )
 from .matching import (
     CascadedMatch,
-    MatchedParams,
     eta_from_input,
     g_from_geometry,
     kappa_from_geometry,

@@ -2,18 +2,21 @@
 
 Two cavity modes a, b (resonance ``omega_c``, amplitude decay ``kappa``)
 couple with strength ``g`` to a lossless intermediate mode c (resonance
-``omega_f``).  Coherent pumps of amplitude ``eta_l`` (on a) and ``eta_r``
-(on b, extra phase ``phi``) oscillate at the drive frequency ``omega``.
+``omega_f``).  ``ModeSystem`` holds only these four parameters; the drive
+is an argument of each solve, as in the scattering engine.  Complex
+coherent pumps ``eta_l`` (on a) and ``eta_r`` (on b, carrying any relative
+phase, e.g. eta * e^{-i*phi}) oscillate at the drive frequency ``omega``.
 In the frame rotating at the drive frequency the mean-field steady state
 solves, with detunings dc = omega_c - omega and df = omega_f - omega,
 
     (i*dc + kappa) * alpha + i*g*gamma = -i * eta_l
-    (i*dc + kappa) * beta  + i*g*gamma = -i * eta_r * e^{-i*phi}
+    (i*dc + kappa) * beta  + i*g*gamma = -i * eta_r
     i*df * gamma + i*g * (alpha + beta) = 0
 
-The system is linear with coherent drive, so the steady state is a coherent
-state and (alpha, beta, gamma) determine every observable; photon numbers
-are |alpha|^2 etc.  The solver works in the symmetric/antisymmetric basis
+The system is linear in the drive, so the steady state is a coherent state
+and (alpha, beta, gamma) determine every observable; photon numbers are
+|alpha|^2 etc., and the flux detected behind the right cavity is
+kappa * |beta|^2.  The solver works in the symmetric/antisymmetric basis
 s = alpha + beta, d = alpha - beta, where the equations decouple into a 1x1
 and a 2x2 block; the 2x2 block is nonsingular whenever g > 0, and for g = 0
 the undriven gamma is set to zero (degenerate only when df = 0 as well,
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +42,9 @@ class ModeSystem:
     omega_f: float
     g: float
     kappa: float
-    eta_l: float
-    eta_r: float
-    phi: float
-    omega: float
 
     def __post_init__(self):
-        for name in ("omega_c", "omega_f", "g", "kappa", "eta_l", "eta_r", "phi", "omega"):
+        for name in ("omega_c", "omega_f", "g", "kappa"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise InvalidParameterError(f"{name} must be finite, got {v!r}")
@@ -53,60 +52,34 @@ class ModeSystem:
             raise InvalidParameterError(f"kappa must be positive, got {self.kappa!r}")
         if self.g < 0:
             raise InvalidParameterError(f"g must be nonnegative, got {self.g!r}")
-        if self.eta_l < 0 or self.eta_r < 0:
-            raise InvalidParameterError("pump amplitudes must be nonnegative")
-
-    def at_drive(self, omega: float) -> "ModeSystem":
-        return replace(self, omega=omega)
 
 
-@dataclass(frozen=True)
-class ModeAmplitudes:
-    """Coherent steady-state amplitudes in the rotating frame."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-
-    @property
-    def photon_numbers(self) -> tuple[float, float, float]:
-        return abs(self.alpha) ** 2, abs(self.beta) ** 2, abs(self.gamma) ** 2
-
-
-def steady_state(sys: ModeSystem) -> ModeAmplitudes:
-    """Unique fixed point of the mean-field equations at the drive frequency."""
-    alpha, beta, gamma = _steady_state_arrays(sys, np.asarray(sys.omega))
-    return ModeAmplitudes(complex(alpha), complex(beta), complex(gamma))
-
-
-def _steady_state_arrays(sys: ModeSystem, omega: np.ndarray):
-    """Vectorized steady state over a drive-frequency grid."""
+def _steady_state_arrays(system: ModeSystem, omega, eta_l: complex, eta_r: complex):
+    """Steady state (alpha, beta, gamma) over drive frequencies ``omega`` for complex pumps eta_l, eta_r."""
+    eta_l, eta_r = complex(eta_l), complex(eta_r)
+    if not (cmath.isfinite(eta_l) and cmath.isfinite(eta_r)):
+        raise InvalidParameterError(f"pump amplitudes must be finite, got eta_l={eta_l!r}, eta_r={eta_r!r}")
     omega = np.asarray(omega, dtype=float)
-    dc = sys.omega_c - omega
-    df = sys.omega_f - omega
-    denom_d = 1j * dc + sys.kappa
-    drive_sum = -1j * (sys.eta_l + sys.eta_r * cmath.exp(-1j * sys.phi))
-    drive_diff = -1j * (sys.eta_l - sys.eta_r * cmath.exp(-1j * sys.phi))
+    dc = system.omega_c - omega
+    df = system.omega_f - omega
+    denom_d = 1j * dc + system.kappa
+    drive_sum = -1j * (eta_l + eta_r)
+    drive_diff = -1j * (eta_l - eta_r)
 
     d = drive_diff / denom_d
-    if sys.g == 0.0:
+    if system.g == 0.0:
         s = drive_sum / denom_d
         gamma = np.zeros_like(s)
     else:
-        det2 = denom_d * (1j * df) + 2.0 * sys.g**2
+        det2 = denom_d * (1j * df) + 2.0 * system.g**2
         bad = np.abs(det2) == 0.0
         if np.any(bad):
             raise SingularSystemError("steady-state system is singular at some drive frequency")
         s = drive_sum * (1j * df) / det2
-        gamma = -1j * sys.g * drive_sum / det2
+        gamma = -1j * system.g * drive_sum / det2
     alpha = 0.5 * (s + d)
     beta = 0.5 * (s - d)
     return alpha, beta, gamma
-
-
-def photocurrent(sys: ModeSystem) -> float:
-    """Detected flux behind the right cavity: kappa * |beta|^2."""
-    return sys.kappa * abs(steady_state(sys).beta) ** 2
 
 
 def two_mode_eigenfrequencies(omega_c: float, g: float) -> tuple[float, float]:

@@ -43,16 +43,6 @@ def _require_positive(**kwargs):
 
 
 @dataclass(frozen=True)
-class MatchedParams:
-    """Coupled-mode parameters matched to a cavity geometry."""
-
-    kappa: float
-    omega_c: float
-    order_n: int
-    g: float
-
-
-@dataclass(frozen=True)
 class CascadedMatch:
     """Full parameter set for the cavity-fiber-cavity comparison.
 
@@ -61,27 +51,19 @@ class CascadedMatch:
     the nominal geometry is from the common-resonance condition, and
     ``resonant_fiber_length`` is the nearby length that satisfies it
     exactly (fiber resonance of order ``fiber_order`` at ``omega_c``).
+    ``g`` is the coupling for the nominal fiber length.
     """
 
-    params: MatchedParams
+    kappa: float
+    omega_c: float
+    order_n: int
+    g: float
     omega_f: float
     fiber_order: int
     fiber_detuning: float
     fiber_length: float
     resonant_fiber_length: float
     fiber_order_in_range: bool
-
-    @property
-    def kappa(self) -> float:
-        return self.params.kappa
-
-    @property
-    def omega_c(self) -> float:
-        return self.params.omega_c
-
-    @property
-    def g(self) -> float:
-        return self.params.g
 
 
 def kappa_from_geometry(zeta: float, l_c: float) -> float:
@@ -152,7 +134,10 @@ def match_cascaded(
     detuning = omega_f - omega_c
     half_fsr = math.pi / (2.0 * l_f)
     return CascadedMatch(
-        params=MatchedParams(kappa=kappa, omega_c=omega_c, order_n=n_c, g=g),
+        kappa=kappa,
+        omega_c=omega_c,
+        order_n=n_c,
+        g=g,
         omega_f=omega_f,
         fiber_order=int(n_f),
         fiber_detuning=detuning,

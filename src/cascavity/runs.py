@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -45,8 +46,8 @@ def _resolve_drive(drive: DriveConfig, kappa: float):
     return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r, drive.d_phase
 
 
-def _cascade(config: ExperimentConfig, command: str, **drive):
-    """The configured four-mirror stack and its matched mode system; ``drive`` goes to build_cascade."""
+def _cascade(config: ExperimentConfig, command: str):
+    """The configured four-mirror stack and its matched mode system."""
     geo = config.geometry
     if geo.single_cavity:
         raise ConfigError(f"{command} runs require the cascaded geometry")
@@ -57,7 +58,6 @@ def _cascade(config: ExperimentConfig, command: str, **drive):
         geo.cavity_order,
         geo.fiber_order,
         fiber_alignment=config.fiber_alignment,
-        **drive,
     )
 
 
@@ -74,30 +74,30 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     """Transmission spectra of the selected model(s) -> spectrum.csv [spectrum.svg]."""
     geo = config.geometry
     kappa = kappa_from_geometry(geo.zeta, geo.cavity_length)
-    a_in, d_in, d_phase, _, _, _ = _resolve_drive(config.drive, kappa)
+    a_in, d_in, d_phase, eta_l, eta_r, phi = _resolve_drive(config.drive, kappa)
     if a_in == 0 and config.model != "coupled":
         raise ConfigError("the scattering spectrum needs a left drive: drive.a_in (or drive.eta_l) must be > 0")
     if not geo.single_cavity:
-        setup = _cascade(config, "spectrum", a_in=a_in, d_in=d_in, phi=d_phase)
+        setup = _cascade(config, "spectrum")
+        pumps = (eta_l, eta_r * cmath.exp(-1j * phi))
     elif d_in != 0.0:
-        raise ConfigError("single_cavity runs support left-side drive only (d_in = 0)")
+        raise ConfigError("single_cavity runs support left-side drive only: drive.d_in (or drive.eta_r) must be 0")
     else:
-        setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order, a_in)
+        setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
+        pumps = (0.0, eta_l)  # the single cavity is the measured mode b
     grid = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
-    meta = setup.metadata()
 
     columns = [("omega", grid)]
     series = []
     if config.model in ("scattering", "both"):
-        scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * d_phase), metadata=meta)
+        scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * d_phase))
         columns.append(("scattering_value", scat.values))
         series.append(("scattering", scat.values))
     if config.model in ("coupled", "both"):
-        coup = sweep_coupled(setup.system, grid, metadata=meta)
+        coup = sweep_coupled(setup.system, grid, *pumps)
         columns.append(("coupled_value", coup.values))
         series.append(("coupled", coup.values))
-    omega_c = meta["omega_c"]
-    columns.append(("omega_over_omega_c", grid / omega_c))
+    columns.append(("omega_over_omega_c", grid / setup.system.omega_c))
 
     paths = [write_csv(out_dir / "spectrum.csv", columns, __version__, config.resolved())]
     if svg:
@@ -168,7 +168,7 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
     """Intracavity intensity curves for both models -> profile.csv [profile.svg]."""
     setup = _cascade(config, "profile")
     curves = intensity_comparison(setup, _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS))
-    omega_c = curves.metadata["omega_c"]
+    omega_c = setup.system.omega_c
     columns = [
         ("omega", curves.omega),
         ("scat_left", curves.scattering_left),
@@ -205,14 +205,9 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     """Fiber intensity vs (omega, phi) -> darkmode.csv, darkmode_fit.csv [darkmode.svg]."""
     setup = _cascade(config, "darkmode")
     phase = config.phase_grid
-    if phase.points < 5:
-        raise ConfigError(f"darkmode needs at least 5 phase samples, got {phase.points}")
-    span = phase.hi - phase.lo
-    if span * phase.points / (phase.points - 1) < 2 * math.pi - 1e-9:
-        raise ConfigError("darkmode phase_grid must cover a full period of 2*pi")
     omega = _omega_grid(config, setup, grid_points, DARKMODE_DEFAULT_POINTS)
     phis = np.linspace(phase.lo, phase.hi, phase.points)
-    scan = dark_mode_scan(setup.stack, omega, phis, metadata=setup.metadata())
+    scan = dark_mode_scan(setup.stack, omega, phis)
 
     n_omega, n_phi = scan.intensity.shape
     omega_col = np.repeat(scan.omega_grid, n_phi)
@@ -280,7 +275,7 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
         },
         "omega_c": {
             "value": match.omega_c,
-            "order": match.params.order_n,
+            "order": match.order_n,
             "formula": "(n*pi + atan2(1, zeta))/l_c",
         },
         "omega_f": {

@@ -7,14 +7,17 @@ length whose fiber resonance coincides exactly with the cavity resonance
 coupled resonators share a common resonance frequency, and a nominal
 integer length ratio misses that condition by a detectable fraction of a
 free spectral range at finite mirror reflectivity.  The nominal geometry
-remains available via ``fiber_alignment="nominal"`` and every result
-records both lengths in its metadata.
+remains available via ``fiber_alignment="nominal"``.
+
+Setups carry only the models (stack, mode system, matched parameters); the
+drive is an argument of each sweep, field amplitudes for the scattering
+model and complex pumps for the coupled model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +48,10 @@ _FIT_WINDOW_HALFWIDTHS = 8.0
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled curve of a nonnegative observable versus a swept parameter."""
+    """Sampled curve of a nonnegative observable versus drive frequency."""
 
-    sweep_param: str
     x: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -107,7 +108,6 @@ class PhaseScan:
     c0: np.ndarray
     c1: np.ndarray
     phi0: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.omega_grid, dtype=float)
@@ -147,34 +147,20 @@ def _check_grid(omega_grid) -> np.ndarray:
     return grid
 
 
-def sweep_scattering(
-    stack: OpticalStack,
-    omega_grid,
-    a_in: complex = 1.0,
-    d_in: complex = 0.0,
-    metadata: dict | None = None,
-) -> Spectrum:
+def sweep_scattering(stack: OpticalStack, omega_grid, a_in: complex = 1.0, d_in: complex = 0.0) -> Spectrum:
     """Transmitted intensity |c_out|^2 / |a_in|^2 versus drive frequency (k = omega); needs a_in != 0."""
     if a_in == 0:
         raise InvalidParameterError("transmitted intensity is normalised by |a_in|^2; a_in must be nonzero")
     grid = _check_grid(omega_grid)
     c_out = region_amplitude_sweep(stack, grid, a_in, d_in)[-1][0]
-    values = np.abs(c_out) ** 2 / abs(complex(a_in)) ** 2
-    meta = {"model": "scattering", "a_in": complex(a_in), "d_in": complex(d_in)}
-    if metadata:
-        meta.update(metadata)
-    return Spectrum("omega", grid, values, meta)
+    return Spectrum(grid, np.abs(c_out) ** 2 / abs(complex(a_in)) ** 2)
 
 
-def sweep_coupled(sys_template: ModeSystem, omega_grid, metadata: dict | None = None) -> Spectrum:
-    """Photocurrent kappa * |beta|^2 versus drive frequency."""
+def sweep_coupled(system: ModeSystem, omega_grid, eta_l: complex, eta_r: complex = 0.0) -> Spectrum:
+    """Detected flux kappa * |beta|^2 versus drive frequency for complex pumps eta_l (on a), eta_r (on b)."""
     grid = _check_grid(omega_grid)
-    _, beta, _ = _steady_state_arrays(sys_template, grid)
-    values = sys_template.kappa * np.abs(beta) ** 2
-    meta = {"model": "coupled"}
-    if metadata:
-        meta.update(metadata)
-    return Spectrum("omega", grid, values, meta)
+    _, beta, _ = _steady_state_arrays(system, grid, eta_l, eta_r)
+    return Spectrum(grid, system.kappa * np.abs(beta) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,35 +351,14 @@ def fit_peaks(spectrum: Spectrum, peak_set: PeakSet) -> list[Peak]:
 
 @dataclass(frozen=True)
 class CascadeSetup:
-    """A four-mirror stack paired with its matched three-mode system."""
+    """A mirror stack paired with its matched mode system.
+
+    ``match`` is the cascaded parameter set, or None for the single cavity.
+    """
 
     stack: OpticalStack
     system: ModeSystem
-    match: CascadedMatch
-    fiber_length_used: float
-    g_used: float
-    omega_f_used: float
-    fiber_alignment: str
-
-    def metadata(self) -> dict:
-        m = self.match
-        return {
-            "zeta": self.stack.elements[0].zeta,
-            "cavity_length": self.stack.elements[1].length,
-            "fiber_length_nominal": m.fiber_length,
-            "fiber_length_used": self.fiber_length_used,
-            "fiber_alignment": self.fiber_alignment,
-            "cavity_order": m.params.order_n,
-            "fiber_order": m.fiber_order,
-            "fiber_detuning_nominal": m.fiber_detuning,
-            "kappa": m.kappa,
-            "omega_c": m.omega_c,
-            "omega_f_used": self.omega_f_used,
-            "g": self.g_used,
-            "eta_l": self.system.eta_l,
-            "eta_r": self.system.eta_r,
-            "phi": self.system.phi,
-        }
+    match: CascadedMatch | None = None
 
 
 def build_cascade(
@@ -404,9 +369,6 @@ def build_cascade(
     n_f: int | None = None,
     *,
     fiber_alignment: str = "resonant",
-    a_in: float = 1.0,
-    d_in: float = 0.0,
-    phi: float = 0.0,
 ) -> CascadeSetup:
     """Build the four-mirror stack and the matched mode system for one geometry.
 
@@ -418,74 +380,32 @@ def build_cascade(
         raise InvalidParameterError(f"unknown fiber_alignment {fiber_alignment!r}")
     match = match_cascaded(zeta, l_c, l_f, n_c, n_f)
     if fiber_alignment == "resonant":
-        l_f_used = match.resonant_fiber_length
-        omega_f_used = match.omega_c
+        l_f_used, omega_f = match.resonant_fiber_length, match.omega_c
     else:
-        l_f_used = l_f
-        omega_f_used = match.omega_f
-    g_used = g_from_geometry(zeta, l_c, l_f_used)
-    stack = four_mirror_chain(zeta, l_c, l_f_used)
-    system = ModeSystem(
-        omega_c=match.omega_c,
-        omega_f=omega_f_used,
-        g=g_used,
-        kappa=match.kappa,
-        eta_l=eta_from_input(match.kappa, abs(a_in)),
-        eta_r=eta_from_input(match.kappa, abs(d_in)),
-        phi=phi,
-        omega=match.omega_c,
-    )
-    return CascadeSetup(stack, system, match, l_f_used, g_used, omega_f_used, fiber_alignment)
+        l_f_used, omega_f = l_f, match.omega_f
+    system = ModeSystem(match.omega_c, omega_f, g_from_geometry(zeta, l_c, l_f_used), match.kappa)
+    return CascadeSetup(four_mirror_chain(zeta, l_c, l_f_used), system, match)
 
 
-@dataclass(frozen=True)
-class SingleCavitySetup:
-    stack: OpticalStack
-    system: ModeSystem
-    kappa: float
-    omega_c: float
-
-    def metadata(self) -> dict:
-        return {
-            "zeta": self.stack.elements[0].zeta,
-            "cavity_length": self.stack.elements[1].length,
-            "kappa": self.kappa,
-            "omega_c": self.omega_c,
-            "eta": self.system.eta_r,
-        }
-
-
-def build_single_cavity(zeta: float, l_c: float, n_c: int, a_in: float = 1.0) -> SingleCavitySetup:
+def build_single_cavity(zeta: float, l_c: float, n_c: int) -> CascadeSetup:
     """Symmetric two-mirror cavity paired with the matched single-mode model (g = 0).
 
     The single driven cavity embeds into the three-mode template as the
-    measured mode b (the photocurrent observable is kappa * |beta|^2), so
-    the matched drive eta = sqrt(kappa) * |a_in| enters as the b-pump.
+    measured mode b (the detected flux is kappa * |beta|^2), so its pump
+    enters as eta_r.
     """
     kappa = kappa_from_geometry(zeta, l_c)
     omega_c = omega_c_from_geometry(zeta, l_c, n_c)
-    system = ModeSystem(
-        omega_c=omega_c,
-        omega_f=omega_c,
-        g=0.0,
-        kappa=kappa,
-        eta_l=0.0,
-        eta_r=eta_from_input(kappa, abs(a_in)),
-        phi=0.0,
-        omega=omega_c,
-    )
-    return SingleCavitySetup(symmetric_cavity(zeta, l_c), system, kappa, omega_c)
+    return CascadeSetup(symmetric_cavity(zeta, l_c), ModeSystem(omega_c, omega_c, 0.0, kappa))
 
 
 def default_omega_window(setup, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Default sweep grid: omega_c +- 3*sqrt(2)*g (or +-6*kappa for g = 0)."""
     if points < 2:
         raise InvalidParameterError(f"grid needs at least 2 points, got {points}")
-    if isinstance(setup, CascadeSetup):
-        center, half = setup.match.omega_c, 3.0 * math.sqrt(2.0) * setup.g_used
-    else:
-        center, half = setup.omega_c, 6.0 * setup.kappa
-    return np.linspace(center - half, center + half, points)
+    system = setup.system
+    half = 3.0 * math.sqrt(2.0) * system.g if system.g > 0 else 6.0 * system.kappa
+    return np.linspace(system.omega_c - half, system.omega_c + half, points)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +456,8 @@ def peak_separation_delta(
         kappa = setup.match.kappa
         try:
             grid = default_omega_window(setup, points)
-            scat = sweep_scattering(setup.stack, grid, metadata=setup.metadata())
-            coup = sweep_coupled(setup.system, grid, metadata=setup.metadata())
+            scat = sweep_scattering(setup.stack, grid)
+            coup = sweep_coupled(setup.system, grid, eta_from_input(kappa, 1.0))
             s_left, s_right = three_peak_distances(scat, min_prominence)
             c_left, c_right = three_peak_distances(coup, min_prominence)
         except (PeakCountError, FitFailureError, InvalidParameterError) as exc:
@@ -558,7 +478,6 @@ class ComparisonCurves:
     scattering_right: np.ndarray
     coupled_left: np.ndarray
     coupled_right: np.ndarray
-    metadata: dict
 
 
 def intensity_comparison(setup: CascadeSetup, omega_grid) -> ComparisonCurves:
@@ -566,29 +485,26 @@ def intensity_comparison(setup: CascadeSetup, omega_grid) -> ComparisonCurves:
 
     Scattering curves are |A|^2 + |B|^2 of the cavity gap regions with
     a_in = 1; coupled curves are the photon numbers |alpha|^2, |beta|^2 with
-    the matched drive eta_l = sqrt(kappa).  The drive the setup carries is
-    replaced by this one.
+    the matched drive eta_l = sqrt(kappa).
     """
     grid = _check_grid(omega_grid)
-    system = replace(setup.system, eta_l=eta_from_input(setup.match.kappa, 1.0), eta_r=0.0, phi=0.0)
     regions = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0)
     gap_regions = setup.stack.gap_region_indices()
     left = regions[gap_regions[0]]
     right = regions[gap_regions[2]]
     scat_left = np.abs(left[0]) ** 2 + np.abs(left[1]) ** 2
     scat_right = np.abs(right[0]) ** 2 + np.abs(right[1]) ** 2
-    alpha, beta, _ = _steady_state_arrays(system, grid)
+    alpha, beta, _ = _steady_state_arrays(setup.system, grid, eta_from_input(setup.system.kappa, 1.0), 0.0)
     return ComparisonCurves(
         omega=grid,
         scattering_left=scat_left,
         scattering_right=scat_right,
         coupled_left=np.abs(alpha) ** 2,
         coupled_right=np.abs(beta) ** 2,
-        metadata=replace(setup, system=system).metadata(),
     )
 
 
-def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid, metadata: dict | None = None) -> PhaseScan:
+def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid) -> PhaseScan:
     """Fiber-region intensity for drives a_in = 1, d_in = e^{-i*phi} on an (omega, phi) grid.
 
     The fiber field is u + e^{-i*phi} v, with u from drive (1, 0) and v from (0, 1),
@@ -607,7 +523,7 @@ def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid, metadata: dict | N
     intensity = np.abs(a_f[:, :1] + r * a_f[:, 1:]) ** 2 + np.abs(b_f[:, :1] + r * b_f[:, 1:]) ** 2
     c0 = np.sum(np.abs(a_f) ** 2 + np.abs(b_f) ** 2, axis=1)
     s = np.conj(a_f[:, 0]) * a_f[:, 1] + np.conj(b_f[:, 0]) * b_f[:, 1]
-    return PhaseScan(grid, phis, intensity, c0, 2.0 * np.abs(s), np.angle(s), metadata or {})
+    return PhaseScan(grid, phis, intensity, c0, 2.0 * np.abs(s), np.angle(s))
 
 
 def sinusoid_fit(phi, values) -> SinusoidFit:

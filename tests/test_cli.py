@@ -121,6 +121,17 @@ class TestSpectrumCommand:
             if code:
                 assert key in result.output
 
+    @pytest.mark.parametrize(
+        "drive, key",
+        [({"a_in": 1.0, "d_in": 0.5}, "drive.d_in"), ({"eta_l": 0.1, "eta_r": 0.05}, "drive.eta_r")],
+    )
+    def test_single_cavity_right_drive_names_the_key(self, tmp_path, drive, key):
+        raw = cascade_config(tmp_path / "out", drive=drive)
+        raw["geometry"] = {"zeta": 5.0, "cavity_length": 1.0, "cavity_order": 10, "single_cavity": True}
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(write_config(tmp_path, raw))])
+        assert result.exit_code == 2
+        assert key in result.output
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import cascavity.runs as runs
 
@@ -223,11 +234,18 @@ class TestDarkmodeCommand:
         best = min(fit_rows, key=lambda r: (float(r[1]) - float(r[2])) / float(r[1]))
         assert abs(float(best[5])) < 0.1
 
-    def test_short_phase_grid_is_config_error(self, tmp_path):
-        raw = cascade_config(tmp_path / "out", phase_grid={"min": 0.0, "max": 1.0, "points": 41})
-        cfg = write_config(tmp_path, raw)
-        result = CliRunner().invoke(main, ["darkmode", "--config", str(cfg)])
-        assert result.exit_code == 2
+    def test_narrow_phase_grid_gives_the_full_period_fit(self, tmp_path):
+        # the closed form comes from two drives, not from the phase samples
+        fits = []
+        for name, phase in (("full", {"min": -math.pi, "max": math.pi, "points": 181}),
+                            ("narrow", {"min": -0.5, "max": 0.5, "points": 11})):
+            cfg = write_config(tmp_path, cascade_config(tmp_path / name, phase_grid=phase), f"{name}.json")
+            result = CliRunner().invoke(main, ["darkmode", "--config", str(cfg), "--grid-points", "101"])
+            assert result.exit_code == 0, result.output
+            _, header, rows = read_csv(tmp_path / name / "darkmode_fit.csv")
+            fits.append([[r[header.index(c)] for c in ("c0", "c1", "phi0", "phi_min")] for r in rows])
+        assert len(fits[0]) == 101
+        assert fits[0] == fits[1]
 
 
 class TestMatchCommand:

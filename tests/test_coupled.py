@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,8 +7,6 @@ import pytest
 from cascavity import (
     InvalidParameterError,
     ModeSystem,
-    photocurrent,
-    steady_state,
     three_mode_eigenfrequencies,
     two_mode_eigenfrequencies,
 )
@@ -15,26 +14,29 @@ from cascavity.coupled import _steady_state_arrays
 
 
 def make_system(**overrides):
-    params = dict(
-        omega_c=10.0, omega_f=10.0, g=0.1, kappa=0.05, eta_l=1.0, eta_r=0.0, phi=0.0, omega=10.0
-    )
+    params = dict(omega_c=10.0, omega_f=10.0, g=0.1, kappa=0.05)
     params.update(overrides)
     return ModeSystem(**params)
 
 
+def solve_at(system, omega, eta_l, eta_r=0.0):
+    """The engine at one drive frequency, as Python complex numbers."""
+    return tuple(complex(x[0]) for x in _steady_state_arrays(system, [omega], eta_l, eta_r))
+
+
 class TestSteadyState:
     def test_decoupled_resonant_cavity(self):
-        sys = make_system(g=0.0, eta_l=1.0, kappa=0.5)
-        amps = steady_state(sys)
-        assert amps.alpha == pytest.approx(-1j * 1.0 / 0.5, abs=1e-15)
-        assert abs(amps.alpha) ** 2 == pytest.approx(1.0 / 0.5**2, rel=1e-14)
-        assert amps.beta == 0 and amps.gamma == 0
+        sys = make_system(g=0.0, kappa=0.5)
+        alpha, beta, gamma = solve_at(sys, 10.0, 1.0)
+        assert alpha == pytest.approx(-1j * 1.0 / 0.5, abs=1e-15)
+        assert abs(alpha) ** 2 == pytest.approx(1.0 / 0.5**2, rel=1e-14)
+        assert beta == 0 and gamma == 0
 
     def test_lorentzian_line_of_the_decoupled_cavity(self):
         kappa = 1.0
-        sys = make_system(g=0.0, eta_l=1.0, kappa=kappa, omega_c=10.0)
+        sys = make_system(g=0.0, kappa=kappa, omega_c=10.0)
         omega = np.linspace(7.0, 13.0, 501)
-        alpha, _, _ = _steady_state_arrays(sys, omega)
+        alpha, _, _ = _steady_state_arrays(sys, omega, 1.0, 0.0)
         line = kappa * np.abs(alpha) ** 2
         expected = kappa / ((omega - 10.0) ** 2 + kappa**2)
         assert np.max(np.abs(line - expected)) < 1e-12
@@ -42,28 +44,33 @@ class TestSteadyState:
     def test_dark_fiber_mode_under_antisymmetric_pumping(self):
         for g in (0.02, 0.1, 0.7):
             for omega in (9.5, 10.0, 10.3):
-                sys = make_system(g=g, eta_l=0.8, eta_r=0.8, phi=math.pi, omega=omega)
-                amps = steady_state(sys)
-                assert abs(amps.gamma) < 1e-14
+                _, _, gamma = solve_at(make_system(g=g), omega, 0.8, 0.8 * cmath.exp(-1j * math.pi))
+                assert abs(gamma) < 1e-14
 
     def test_degenerate_fiber_convention(self):
         # g = 0 with the drive on resonance with the fiber: gamma = 0 by convention
-        sys = make_system(g=0.0, omega=10.0, omega_f=10.0)
-        assert steady_state(sys).gamma == 0
+        sys = make_system(g=0.0, omega_f=10.0)
+        assert solve_at(sys, 10.0, 1.0)[2] == 0
 
     def test_drive_linearity(self):
-        base = make_system(eta_l=0.4, eta_r=0.3, phi=0.7, omega=9.9)
-        scaled = make_system(eta_l=1.2, eta_r=0.9, phi=0.7, omega=9.9)
-        a0, b0 = steady_state(base), steady_state(scaled)
-        for x, y in ((a0.alpha, b0.alpha), (a0.beta, b0.beta), (a0.gamma, b0.gamma)):
-            assert abs(y) ** 2 == pytest.approx(9 * abs(x) ** 2, rel=1e-12)
+        # superposition: the solve under (p_l, p_r) is the sum of the one-sided solves,
+        # to 1e-15 of the largest |l| + |r| on the grid (alpha, beta are differences
+        # s -+ d, so a pointwise relative bound fails where they cancel)
+        sys = make_system()
+        omega = np.linspace(9.6, 10.4, 801)
+        p_l, p_r = 0.4 - 0.1j, 0.3 * cmath.exp(-0.7j)
+        both = _steady_state_arrays(sys, omega, p_l, p_r)
+        left = _steady_state_arrays(sys, omega, p_l, 0.0)
+        right = _steady_state_arrays(sys, omega, 0.0, p_r)
+        for x, l, r in zip(both, left, right):
+            assert np.max(np.abs(x - (l + r))) <= 1e-15 * np.max(np.abs(l) + np.abs(r))
 
     def test_pump_swap_symmetry(self):
-        fwd = steady_state(make_system(eta_l=0.7, eta_r=0.2, phi=0.0, omega=9.8))
-        rev = steady_state(make_system(eta_l=0.2, eta_r=0.7, phi=0.0, omega=9.8))
-        assert fwd.alpha == rev.beta
-        assert fwd.beta == rev.alpha
-        assert fwd.gamma == rev.gamma
+        fwd = solve_at(make_system(), 9.8, 0.7, 0.2)
+        rev = solve_at(make_system(), 9.8, 0.2, 0.7)
+        assert fwd[0] == rev[1]
+        assert fwd[1] == rev[0]
+        assert fwd[2] == rev[2]
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -71,28 +78,35 @@ class TestSteadyState:
         with pytest.raises(InvalidParameterError):
             make_system(g=-0.1)
         with pytest.raises(InvalidParameterError):
-            make_system(eta_l=-1.0)
-        with pytest.raises(InvalidParameterError):
-            make_system(omega=math.nan)
+            make_system(omega_f=math.nan)
+
+    @pytest.mark.parametrize("pumps", [(math.nan, 0.0), (1.0, complex(0.0, math.inf)), (math.inf, 1.0)])
+    def test_non_finite_pump_rejected(self, pumps):
+        with pytest.raises(InvalidParameterError, match="pump"):
+            _steady_state_arrays(make_system(), [10.0], *pumps)
 
 
 class TestPhotocurrent:
+    # the detected flux behind the right cavity: kappa * |beta|^2
     def test_no_drive_no_current(self):
-        assert photocurrent(make_system(eta_l=0.0, eta_r=0.0)) == 0.0
+        sys = make_system()
+        assert sys.kappa * abs(solve_at(sys, 10.0, 0.0, 0.0)[1]) ** 2 == 0.0
 
     def test_decoupled_right_drive_on_resonance(self):
         # analytic solve of the beta equation: kappa*|beta|^2 = eta^2/kappa
         eta, kappa = 0.6, 0.25
-        sys = make_system(g=0.0, eta_l=0.0, eta_r=eta, kappa=kappa, phi=0.4)
-        assert photocurrent(sys) == pytest.approx(eta**2 / kappa, rel=1e-13)
-        detuned = sys.at_drive(sys.omega_c + kappa)
-        assert photocurrent(detuned) == pytest.approx(0.5 * eta**2 / kappa, rel=1e-13)
+        sys = make_system(g=0.0, kappa=kappa)
+        pump = eta * cmath.exp(-0.4j)
+        on = kappa * abs(solve_at(sys, sys.omega_c, 0.0, pump)[1]) ** 2
+        assert on == pytest.approx(eta**2 / kappa, rel=1e-13)
+        detuned = kappa * abs(solve_at(sys, sys.omega_c + kappa, 0.0, pump)[1]) ** 2
+        assert detuned == pytest.approx(0.5 * eta**2 / kappa, rel=1e-13)
 
     def test_three_peaks_for_matched_cascade(self):
         from cascavity import build_cascade, default_omega_window, find_peaks, sweep_coupled
 
         setup = build_cascade(5.0, 1.0, 5.0, 10)
-        spec = sweep_coupled(setup.system, default_omega_window(setup, 2001))
+        spec = sweep_coupled(setup.system, default_omega_window(setup, 2001), math.sqrt(setup.system.kappa))
         assert len(find_peaks(spec)) == 3
 
 
@@ -148,10 +162,10 @@ class TestEigenfrequencies:
         # good-cavity regime: fitted peak centers sit at the normal-mode frequencies
         from cascavity import find_peaks, fit_peaks, sweep_coupled
 
-        sys = make_system(g=0.2, kappa=0.004, eta_l=0.06)
+        sys = make_system(g=0.2, kappa=0.004)
         lo, mid, hi = three_mode_eigenfrequencies(sys)
         grid = np.linspace(lo - 0.1, hi + 0.1, 6001)
-        spec = sweep_coupled(sys, grid)
+        spec = sweep_coupled(sys, grid, 0.06)
         fitted = fit_peaks(spec, find_peaks(spec))
         assert len(fitted) == 3
         for center, want in zip([p.center for p in fitted], (lo, mid, hi)):

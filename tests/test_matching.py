@@ -124,14 +124,14 @@ class TestEta:
 
     def test_peak_photocurrent_matches_scattering_peak(self):
         # eta = sqrt(kappa)*A makes the two single-cavity peak transmissions equal
-        from cascavity import ModeSystem, photocurrent
+        from cascavity import ModeSystem, sweep_coupled
 
         zeta, a_in = 5.0, 1.0
         kappa = kappa_from_geometry(zeta, 1.0)
         omega_c = omega_c_from_geometry(zeta, 1.0, 10)
         eta = eta_from_input(kappa, a_in)
-        sys = ModeSystem(omega_c, omega_c, 0.0, kappa, 0.0, eta, 0.0, omega_c)
-        coupled_peak = photocurrent(sys)
+        sys = ModeSystem(omega_c, omega_c, 0.0, kappa)
+        (coupled_peak,) = sweep_coupled(sys, [omega_c], 0.0, eta).values
         _, scattering_peak = brute_force_peak(symmetric_cavity(zeta), omega_c - 1, omega_c + 1)
         assert coupled_peak == pytest.approx(scattering_peak * a_in**2, rel=1e-9)
 
@@ -206,9 +206,7 @@ class TestMatchCascaded:
         from cascavity import ModeSystem, three_mode_eigenfrequencies
 
         match = match_cascaded(5.0, 1.0, 5.0, 10)
-        sys = ModeSystem(
-            match.omega_c, match.omega_c, match.g, match.kappa, 0.1, 0.0, 0.0, match.omega_c
-        )
+        sys = ModeSystem(match.omega_c, match.omega_c, match.g, match.kappa)
         lo, mid, hi = three_mode_eigenfrequencies(sys)
         assert (hi - lo) == pytest.approx(2 * math.sqrt(2) * match.g, rel=1e-12)
         assert mid == match.omega_c
