@@ -3,14 +3,22 @@
 Floats are written with Python's repr (the shortest decimal that round-trips
 to the same float64), so identical inputs produce byte-identical files; the
 convention is declared in every file's comment header.
+
+``write_csv`` formats column by column and writes the file in blocks of
+``_BLOCK_ROWS`` rows: a numeric array column is formatted by one
+``float.__repr__`` map per block instead of ``format_value`` per cell, and
+only one block of formatted rows is held in memory at a time.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
+
+_BLOCK_ROWS = 8192
 
 
 def format_value(v) -> str:
@@ -22,10 +30,18 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    return repr(float(v))
+
+
+def format_floats(values) -> list[str]:
+    """``format_value`` of each element of a real numeric array, i.e. its float64 repr."""
+    return list(map(float.__repr__, np.asarray(values).astype(float, copy=False).tolist()))
+
+
+def _format_block(block) -> Iterable[str]:
+    if isinstance(block, np.ndarray) and block.dtype.kind in "biuf":
+        return format_floats(block)
+    return map(format_value, block)
 
 
 def header_lines(version: str, resolved_config: dict) -> list[str]:
@@ -41,21 +57,23 @@ def write_csv(
     columns: Sequence[tuple[str, Sequence]],
     version: str,
     resolved_config: dict,
-    extra_header: Sequence[str] = (),
 ) -> Path:
-    """Write named columns as CSV with '#' comment headers; returns the path."""
+    """Write named columns as CSV with '#' comment headers; returns the path.
+
+    Cells are written as ``format_value`` gives them: the elements of numeric
+    arrays (bool and int arrays too) as floats, ``str`` cells unchanged.
+    """
     path = Path(path)
     names = [name for name, _ in columns]
-    arrays = [list(values) for _, values in columns]
-    n = len(arrays[0]) if arrays else 0
-    if any(len(a) != n for a in arrays):
+    cells = [values if isinstance(values, np.ndarray) else list(values) for _, values in columns]
+    n = len(cells[0]) if cells else 0
+    if any(len(c) != n for c in cells):
         raise ValueError("all CSV columns must have equal length")
-    lines = header_lines(version, resolved_config)
-    lines.extend(extra_header)
-    lines.append(",".join(names))
-    for i in range(n):
-        lines.append(",".join(format_value(a[i]) for a in arrays))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join([*header_lines(version, resolved_config), ",".join(names)]) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = zip(*(_format_block(c[start : start + _BLOCK_ROWS]) for c in cells))
+            f.write("\n".join(map(",".join, rows)) + "\n")
     return path
 
 

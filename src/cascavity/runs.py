@@ -13,7 +13,7 @@ from . import __version__
 from .config import DriveConfig, ExperimentConfig
 from .errors import ConfigError
 from .matching import eta_from_input, kappa_from_geometry
-from .output import write_csv, write_json
+from .output import format_floats, write_csv, write_json
 from .spectra import (
     DEFAULT_GRID_POINTS,
     build_cascade,
@@ -210,17 +210,19 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     scan = dark_mode_scan(setup.stack, omega, phis)
 
     n_omega, n_phi = scan.intensity.shape
-    omega_col = np.repeat(scan.omega_grid, n_phi)
-    phi_col = np.tile(scan.phi_grid, n_omega)
     omega_c = setup.match.omega_c
+
+    def per_row(values):  # omega-indexed column, formatted once and repeated for every phi
+        return [s for s in format_floats(values) for _ in range(n_phi)]
+
     paths = [
         write_csv(
             out_dir / "darkmode.csv",
             [
-                ("omega", omega_col),
-                ("phi", phi_col),
+                ("omega", per_row(scan.omega_grid)),
+                ("phi", format_floats(scan.phi_grid) * n_omega),
                 ("fiber_intensity", scan.intensity.reshape(-1)),
-                ("omega_over_omega_c", omega_col / omega_c),
+                ("omega_over_omega_c", per_row(scan.omega_grid / omega_c)),
             ],
             __version__,
             config.resolved(),
@@ -264,7 +266,8 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
 
 def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Matched coupled-mode parameters with formula provenance -> params.json."""
-    match = _cascade(config, "match").match
+    setup = _cascade(config, "match")
+    match = setup.match
     a_in, d_in, d_phase, eta_l, eta_r, phi = _resolve_drive(config.drive, match.kappa)
     payload = {
         "version": __version__,
@@ -288,6 +291,10 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
         "g": {
             "value": match.g,
             "formula": "1/(2*sqrt(l_c*l_f)*sqrt(1+zeta^2))",
+            # the coupled model's g is taken at the stack's fiber gap, which
+            # fiber_alignment "resonant" snaps to resonant_fiber_length
+            "model_value": setup.system.g,
+            "model_fiber_length": setup.stack.elements[3].length,
         },
         "eta_l": {"value": eta_l, "formula": "sqrt(kappa)*a_in", "a_in": a_in},
         "eta_r": {"value": eta_r, "formula": "sqrt(kappa)*d_in", "d_in": d_in, "phi": phi},

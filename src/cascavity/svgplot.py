@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 _WIDTH = 720
 _HEIGHT = 460
 _MARGIN_L = 72
@@ -13,6 +15,8 @@ _MARGIN_T = 36
 _MARGIN_B = 52
 _COLORS = ("#1b1b1b", "#c82020", "#2050c8", "#208040", "#b06000", "#707070")
 _N_TICKS = 5
+_RAMP_STOPS = np.array([(20, 20, 90), (40, 90, 180), (240, 230, 80), (200, 40, 30)])
+_MAX_CELLS = 240  # heat_map strides larger grids down to at most this many cells per axis
 
 
 def _fmt(v: float) -> str:
@@ -56,11 +60,6 @@ class _Canvas:
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
-        )
-
-    def rect(self, x, y, w, h, color):
-        self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="{color}"/>'
         )
 
     def write(self, path) -> Path:
@@ -141,25 +140,25 @@ def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, me
     return canvas.write(path)
 
 
-def _ramp(t: float) -> str:
-    """Dark blue -> red color ramp for t in [0, 1]."""
-    stops = [(20, 20, 90), (40, 90, 180), (240, 230, 80), (200, 40, 30)]
-    t = min(max(t, 0.0), 1.0) * (len(stops) - 1)
-    i = min(int(t), len(stops) - 2)
-    f = t - i
-    rgb = [round(a + (b - a) * f) for a, b in zip(stops[i], stops[i + 1])]
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def _ramp(t):
+    """Dark blue -> red colors '#rrggbb' for an array of t in [0, 1] (clipped)."""
+    t = np.clip(t, 0.0, 1.0) * (len(_RAMP_STOPS) - 1)
+    i = np.minimum(t.astype(int), len(_RAMP_STOPS) - 2)
+    f = (t - i)[..., None]
+    lo, hi = _RAMP_STOPS[i], _RAMP_STOPS[i + 1]
+    rgb = np.rint(lo + (hi - lo) * f).astype(int)  # rint rounds half to even, like round()
+    codes, inverse = np.unique((rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2], return_inverse=True)
+    names = np.array([f"#{c:06x}" for c in codes.tolist()], dtype=object)
+    return names[inverse.reshape(t.shape)]
 
 
-def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, max_cells=240, meta="") -> Path:
+def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, meta="") -> Path:
     """Colored-cell map of values[i][j] over (x[i], y[j]); large grids are strided."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(values, dtype=float)
-    sx = max(1, int(math.ceil(x.size / max_cells)))
-    sy = max(1, int(math.ceil(y.size / max_cells)))
+    sx = max(1, int(math.ceil(x.size / _MAX_CELLS)))
+    sy = max(1, int(math.ceil(y.size / _MAX_CELLS)))
     x, y, z = x[::sx], y[::sy], z[::sx, ::sy]
     if logz:
         floor = z[z > 0].min() if np.any(z > 0) else 1.0
@@ -173,10 +172,15 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
     cw = (x1 - x0) / x.size
     ch = (y0 - y1) / y.size
-    for i in range(x.size):
-        for j in range(y.size):
-            t = (z[i, j] - zlo) / (zhi - zlo)
-            canvas.rect(x0 + i * cw, y0 - (j + 1) * ch, cw + 0.5, ch + 0.5, _ramp(t))
+    colors = _ramp((z - zlo) / (zhi - zlo)).tolist()
+    xs = [_fmt(x0 + i * cw) for i in range(x.size)]
+    ys = [_fmt(y0 - (j + 1) * ch) for j in range(y.size)]
+    size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
+    canvas.parts.extend(
+        f'<rect x="{px}" y="{py}" {size} fill="{color}"/>'
+        for px, row in zip(xs, colors)
+        for py, color in zip(ys, row)
+    )
     _axes(canvas, float(x.min()), float(x.max()), float(y.min()), float(y.max()), xlabel, ylabel, False)
     scale_label = "log10" if logz else "linear"
     canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")

@@ -1,0 +1,59 @@
+"""Reference for ``cascavity.output.write_csv``: the per-cell writer.
+
+Every cell goes through ``format_value`` and the whole file is built as one
+string before it is written.  The package's writer must produce the same
+bytes on every input.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+from typing import Sequence
+
+
+def format_value(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    v = float(v)
+    if math.isnan(v):
+        return "nan"
+    return repr(v)
+
+
+def header_lines(version: str, resolved_config: dict) -> list[str]:
+    return [
+        f"# cascavity {version}",
+        "# float format: shortest round-trip decimal (Python repr)",
+        "# config: " + json.dumps(resolved_config, sort_keys=True, separators=(",", ":")),
+    ]
+
+
+def write_csv(
+    path,
+    columns: Sequence[tuple[str, Sequence]],
+    version: str,
+    resolved_config: dict,
+    extra_header: Sequence[str] = (),
+) -> Path:
+    """Write named columns as CSV with '#' comment headers; returns the path."""
+    path = Path(path)
+    names = [name for name, _ in columns]
+    arrays = [list(values) for _, values in columns]
+    n = len(arrays[0]) if arrays else 0
+    if any(len(a) != n for a in arrays):
+        raise ValueError("all CSV columns must have equal length")
+    lines = header_lines(version, resolved_config)
+    lines.extend(extra_header)
+    lines.append(",".join(names))
+    for i in range(n):
+        lines.append(",".join(format_value(a[i]) for a in arrays))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cascavity import build_cascade, g_from_geometry
 from cascavity.cli import main
 from cascavity.config import parse_config
 from cascavity.errors import FitFailureError
@@ -259,6 +260,22 @@ class TestMatchCommand:
         assert "formula" in payload["kappa"] and "formula" in payload["g"]
         assert payload["omega_f"]["order"] == 50
         assert payload["eta_l"]["value"] == pytest.approx(math.sqrt(payload["kappa"]["value"]), rel=1e-12)
+
+    @pytest.mark.parametrize("alignment", ["resonant", "nominal"])
+    def test_params_json_records_the_model_coupling(self, tmp_path, alignment):
+        cfg = write_config(tmp_path, cascade_config(tmp_path / "out", fiber_alignment=alignment))
+        result = CliRunner().invoke(main, ["match", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "out" / "params.json").read_text())
+        g = payload["g"]
+        assert g["model_value"] == build_cascade(5.0, 1.0, 5.0, 10, fiber_alignment=alignment).system.g
+        assert g["model_value"] == g_from_geometry(5.0, 1.0, g["model_fiber_length"])
+        if alignment == "nominal":
+            assert g["model_fiber_length"] == 5.0 and g["model_value"] == g["value"]
+        else:
+            assert g["model_fiber_length"] == payload["resonant_fiber_length"]["value"]
+            assert g["model_value"] == pytest.approx(0.0439628, abs=1e-7)  # nominal g is 0.0438529
+            assert g["value"] == pytest.approx(0.0438529, abs=1e-7)
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg = write_config(tmp_path, cascade_config(tmp_path / "ignored"))
