@@ -1,12 +1,12 @@
 """Cascaded-cavity simulator: transfer-matrix and coupled-mode models side by side."""
 
-from .coupled import ModeSystem, three_mode_eigenfrequencies, two_mode_eigenfrequencies
+from .coupled import ModeSystem, mode_poles, three_mode_eigenfrequencies, two_mode_eigenfrequencies
 from .errors import (
     CascavityError,
     ConfigError,
     FitFailureError,
     InvalidParameterError,
-    PeakCountError,
+    PoleSearchError,
     SingularBoundaryError,
     SingularSystemError,
 )
@@ -31,6 +31,7 @@ from .scattering import (
     region_amplitude_sweep,
     symmetric_cavity,
     three_mirror_chain,
+    transmission_poles,
     transmissivity,
 )
 from .spectra import (
@@ -47,14 +48,12 @@ from .spectra import (
     dark_mode_scan,
     default_omega_window,
     find_peaks,
-    fit_peaks,
     intensity_comparison,
     lorentzian_fit,
     peak_separation_delta,
     sinusoid_fit,
     sweep_coupled,
     sweep_scattering,
-    three_peak_distances,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ def _common_options(f):
     f = click.option("--config", "config_path", required=True, type=click.Path(), help="Path to the JSON run configuration.")(f)
     f = click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None, help="Output directory (overrides output.directory).")(f)
     f = click.option("--svg", is_flag=True, default=False, help="Also write SVG plots.")(f)
-    f = click.option("--grid-points", type=int, default=None, help="Override the sweep grid size.")(f)
+    f = click.option("--grid-points", type=int, default=None, help="Override the sweep grid size (delta and match use no grid).")(f)
     f = click.option("--quiet", is_flag=True, default=False, help="Suppress the file summary.")(f)
     return f
 

@@ -82,6 +82,23 @@ def _steady_state_arrays(system: ModeSystem, omega, eta_l: complex, eta_r: compl
     return alpha, beta, gamma
 
 
+def mode_poles(system: ModeSystem) -> tuple[complex, complex, complex]:
+    """Complex eigenfrequencies of the damped three-mode matrix, sorted by real part.
+
+    The matrix [[wc - i*kappa, 0, g], [0, wc - i*kappa, g], [g, g, wf]] has
+    the antisymmetric cavity combination (a - b) as an eigenvector at exactly
+    ``omega_c - i*kappa``; the symmetric combination hybridizes with the
+    lossless middle mode, giving avg +- sqrt(half^2 + 2 g^2) with
+    avg = (wc - i*kappa + wf)/2 and half = (wc - i*kappa - wf)/2.  Each
+    pole's half width is minus its imaginary part.
+    """
+    damped = complex(system.omega_c, -system.kappa)
+    avg = 0.5 * (damped + system.omega_f)
+    root = cmath.sqrt((0.5 * (damped - system.omega_f)) ** 2 + 2.0 * system.g**2)
+    lo, mid, hi = sorted((avg - root, damped, avg + root), key=lambda p: p.real)
+    return lo, mid, hi
+
+
 def two_mode_eigenfrequencies(omega_c: float, g: float) -> tuple[float, float]:
     """Normal-mode frequencies of two degenerate modes coupled with strength g."""
     if g < 0:

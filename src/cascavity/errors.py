@@ -28,8 +28,8 @@ class FitFailureError(CascavityError, RuntimeError):
         self.best = best
 
 
-class PeakCountError(CascavityError, RuntimeError):
-    """A sweep did not produce the expected number of resolvable peaks."""
+class PoleSearchError(CascavityError, RuntimeError):
+    """A transmission-pole search did not converge, or two starts reached the same pole."""
 
 
 class ConfigError(CascavityError, ValueError):

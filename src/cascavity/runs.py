@@ -119,11 +119,18 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
 
 
 def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
-    """Side-peak distance differences over the zeta grid -> delta.csv [delta.svg]."""
+    """Side-to-middle resonance distance differences over the zeta grid -> delta.csv [delta.svg].
+
+    The resonances are complex poles, so no frequency grid is used and
+    ``grid_points`` has no effect.
+    """
     if not config.zeta_grid:
         raise ConfigError("delta runs require a zeta_grid")
     if config.sweep is not None:
-        raise ConfigError("delta runs do not read 'sweep': each zeta gets its own window; size it with --grid-points")
+        raise ConfigError(
+            "delta runs do not read 'sweep': the resonances are poles, found without a frequency grid"
+            " (--grid-points has no effect either)"
+        )
     geo = config.geometry
     if geo.single_cavity:
         raise ConfigError("delta runs require the cascaded geometry")
@@ -132,7 +139,6 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
         geo.cavity_length,
         geo.fiber_length,
         geo.cavity_order,
-        points=grid_points or DEFAULT_GRID_POINTS,
         fiber_alignment=config.fiber_alignment,
     )
     columns = [
@@ -144,6 +150,9 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
         ("error", [e.error or "" for e in entries]),
         ("delta_mean_over_kappa", [e.delta_mean / e.kappa for e in entries]),
     ]
+    for model, attr in (("scat", "scattering_poles"), ("coupled", "coupled_poles")):
+        for i, side in enumerate(("lo", "mid", "hi")):
+            columns.append((f"{model}_hw_{side}", [-getattr(e, attr)[i].imag for e in entries]))
     paths = [write_csv(out_dir / "delta.csv", columns, __version__, config.resolved())]
     if svg:
         from .svgplot import line_plot

@@ -21,8 +21,9 @@ Conventions (fixed throughout the package):
 One engine evaluates every stack, over wavenumbers and drives of any
 broadcast shape: ``compose`` gives the stack's matrix entries,
 ``region_amplitude_sweep`` the amplitude pair of every homogeneous region
-under two-sided drive, and ``field_profile`` the amplitudes at arbitrary
-positions.  Every matrix factor has determinant exactly 1, which the
+under two-sided drive, ``field_profile`` the amplitudes at arbitrary
+positions, and ``transmission_poles`` the complex zeros of m22, which are the
+stack's resonances.  Every matrix factor has determinant exactly 1, which the
 boundary solve exploits: with det M = 1 the outgoing amplitudes are
 
     b_out = (d_in - m21 * a_in) / m22
@@ -40,11 +41,18 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularBoundaryError
+from .errors import InvalidParameterError, PoleSearchError, SingularBoundaryError
 
 # m22 of a lossless stack is 1/t*; |t| > 0 for finite real zeta, so this
 # guard only trips on numerically degenerate input.
 _M22_FLOOR = 1e-300
+# Newton steps per start before the pole search gives up; 3-6 suffice for
+# the cascade's poles from the mode-model eigenvalues at zeta 2 to 2000.
+_NEWTON_MAX_ITER = 50
+# Newton stops once |step| <= _NEWTON_RTOL * |omega|.
+_NEWTON_RTOL = 1e-15
+# Two poles closer than this times |omega| are the same pole.
+_SAME_POLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -267,3 +275,60 @@ def field_profile(stack: OpticalStack, k, a_in, d_in, positions) -> tuple[np.nda
     right = np.stack([r for r, _ in regions], axis=-1)[..., idx] * phase
     left = np.stack([b for _, b in regions], axis=-1)[..., idx] / phase
     return right, left
+
+
+def _m22_and_derivative(stack: OpticalStack, omega: np.ndarray):
+    """m22 and dm22/domega at complex ``omega``, from one forward-mode pass over the factors.
+
+    The running product's second column (m12, m22) and its derivative are
+    carried together.  Mirrors do not depend on omega; a gap factor
+    diag(e^{i*omega*l}, e^{-i*omega*l}) has derivative
+    i*l * diag(e^{i*omega*l}, -e^{-i*omega*l}).
+    """
+    col = (np.zeros_like(omega), np.ones_like(omega))
+    dcol = (np.zeros_like(omega), np.zeros_like(omega))
+    for e, m in zip(stack.elements, _element_factors(stack, omega)):
+        dcol = _apply(m, *dcol)
+        if isinstance(e, Gap):
+            il = 1j * e.length
+            d12, d22 = _apply((il * m[0], 0.0, 0.0, -il * m[3]), *col)
+            dcol = (dcol[0] + d12, dcol[1] + d22)
+        col = _apply(m, *col)
+    return col[1], dcol[1]
+
+
+def transmission_poles(stack: OpticalStack, starts) -> np.ndarray:
+    """The complex zeros of m22(omega), the stack's transmission poles, by Newton's method.
+
+    Entry i is the pole reached from ``starts[i]``: its real part is the
+    resonance frequency and minus its imaginary part the half width.  Each
+    start iterates until |step| <= 1e-15 * |omega|.  Raises PoleSearchError
+    when a start has not converged within ``_NEWTON_MAX_ITER`` steps or when
+    two starts reach the same pole; the message holds no comma, so it fits
+    a CSV cell.
+    """
+    omega = np.array(starts, dtype=complex)
+    if omega.ndim != 1 or not np.all(np.isfinite(omega)):
+        raise InvalidParameterError("pole search starts must be a finite 1-d sequence")
+    active = np.ones(omega.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        m22, dm22 = _m22_and_derivative(stack, omega[active])
+        step = m22 / dm22
+        omega[active] -= step
+        # written as not-converged so that a NaN step stays active and fails
+        active[active] = ~(np.abs(step) <= _NEWTON_RTOL * np.abs(omega[active]))
+        if not active.any():
+            break
+    else:
+        i = int(np.flatnonzero(active)[0])
+        raise PoleSearchError(
+            f"pole search (Newton on m22): start {i} at {complex(starts[i]):.15g} did not converge"
+            f" within {_NEWTON_MAX_ITER} steps; last iterate {omega[i]:.15g}"
+        )
+    same = np.abs(omega[:, None] - omega[None, :]) <= _SAME_POLE_RTOL * np.abs(omega)
+    i, j = np.nonzero(np.triu(same, 1))
+    if i.size:
+        raise PoleSearchError(
+            f"pole search (distinct-pole check): starts {i[0]} and {j[0]} reached the same pole {omega[i[0]]:.15g}"
+        )
+    return omega

@@ -12,6 +12,13 @@ remains available via ``fiber_alignment="nominal"``.
 Setups carry only the models (stack, mode system, matched parameters); the
 drive is an argument of each sweep, field amplitudes for the scattering
 model and complex pumps for the coupled model.
+
+``peak_separation_delta`` compares the models' resonances as complex poles,
+without a sweep: the coupled poles are the closed-form eigenvalues of the
+damped three-mode matrix (``mode_poles``), and the scattering poles are the
+zeros of the stack's m22, found by Newton's method from them
+(``transmission_poles``).  ``find_peaks`` and ``lorentzian_fit`` remain for
+sampled spectra; scipy is imported only inside ``lorentzian_fit``.
 """
 
 from __future__ import annotations
@@ -21,10 +28,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .coupled import ModeSystem, _steady_state_arrays
-from .errors import FitFailureError, InvalidParameterError, PeakCountError
+from .coupled import ModeSystem, _steady_state_arrays, mode_poles
+from .errors import FitFailureError, InvalidParameterError, PoleSearchError
 from .matching import (
     CascadedMatch,
     eta_from_input,
@@ -38,12 +44,11 @@ from .scattering import (
     four_mirror_chain,
     region_amplitude_sweep,
     symmetric_cavity,
+    transmission_poles,
 )
 
 DEFAULT_GRID_POINTS = 4001
 DEFAULT_PROMINENCE = 1e-4
-# Half-width multiple used to window a peak before fitting it.
-_FIT_WINDOW_HALFWIDTHS = 8.0
 
 
 @dataclass(frozen=True)
@@ -278,6 +283,9 @@ def lorentzian_fit(spectrum: Spectrum, window: tuple[float, float]) -> Peak:
     iterations; non-convergence raises FitFailureError carrying the best
     iterate.
     """
+    # imported here: scipy.optimize dominates the package's import time
+    from scipy.optimize import least_squares
+
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvalidParameterError(f"invalid fit window ({lo}, {hi})")
@@ -316,33 +324,6 @@ def lorentzian_fit(spectrum: Spectrum, window: tuple[float, float]) -> Peak:
             best=best,
         )
     return best
-
-
-def fit_peaks(spectrum: Spectrum, peak_set: PeakSet) -> list[Peak]:
-    """Refine every found peak by a windowed Lorentzian fit.
-
-    Each window spans ``_FIT_WINDOW_HALFWIDTHS`` estimated half widths,
-    clipped at the midpoints toward neighboring peaks, and is widened
-    symmetrically if it holds fewer than 7 samples.
-    """
-    if len(spectrum) < 7:
-        raise InvalidParameterError(f"peak fitting needs at least 7 samples, got {len(spectrum)}")
-    centers = peak_set.centers()
-    fitted = []
-    for i, pk in enumerate(peak_set.peaks):
-        half = _FIT_WINDOW_HALFWIDTHS * pk.half_width
-        lo = pk.center - half
-        hi = pk.center + half
-        if i > 0:
-            lo = max(lo, 0.5 * (centers[i - 1] + pk.center))
-        if i + 1 < len(centers):
-            hi = min(hi, 0.5 * (pk.center + centers[i + 1]))
-        step = float(np.mean(np.diff(spectrum.x)))
-        while np.count_nonzero((spectrum.x >= lo) & (spectrum.x <= hi)) < 7:
-            lo -= step
-            hi += step
-        fitted.append(lorentzian_fit(spectrum, (lo, hi)))
-    return fitted
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +393,36 @@ def default_omega_window(setup, points: int = DEFAULT_GRID_POINTS) -> np.ndarray
 # Comparison operations
 
 
-def three_peak_distances(spectrum: Spectrum, min_prominence: float = DEFAULT_PROMINENCE):
-    """Fitted (left, right) side-to-middle distances of a three-peak spectrum."""
-    found = find_peaks(spectrum, min_prominence)
-    if len(found) != 3:
-        raise PeakCountError(f"expected 3 peaks, found {len(found)}")
-    lo, mid, hi = fit_peaks(spectrum, found)
-    return mid.center - lo.center, hi.center - mid.center
-
-
 @dataclass(frozen=True)
 class DeltaEntry:
-    """Side-to-middle distance difference (scattering minus coupled) at one zeta."""
+    """Resonance poles of both models at one zeta, each triple sorted by real part.
+
+    A pole's real part is the resonance frequency and minus its imaginary
+    part the half width.  The deltas are side-to-middle distances of the
+    poles' real parts, scattering minus coupled.  After a failed pole search
+    ``error`` names zeta and the stage and the scattering poles are NaN, so
+    every delta is NaN.
+    """
 
     zeta: float
-    delta_left: float
-    delta_right: float
-    delta_mean: float
     kappa: float
+    scattering_poles: tuple[complex, complex, complex]
+    coupled_poles: tuple[complex, complex, complex]
     error: str | None = None
+
+    @property
+    def delta_left(self) -> float:
+        (s_lo, s_mid, _), (c_lo, c_mid, _) = self.scattering_poles, self.coupled_poles
+        return (s_mid - s_lo).real - (c_mid - c_lo).real
+
+    @property
+    def delta_right(self) -> float:
+        (_, s_mid, s_hi), (_, c_mid, c_hi) = self.scattering_poles, self.coupled_poles
+        return (s_hi - s_mid).real - (c_hi - c_mid).real
+
+    @property
+    def delta_mean(self) -> float:
+        return 0.5 * (self.delta_left + self.delta_right)
 
 
 def peak_separation_delta(
@@ -439,33 +431,27 @@ def peak_separation_delta(
     l_f: float,
     n_c: int,
     *,
-    points: int = DEFAULT_GRID_POINTS,
-    min_prominence: float = DEFAULT_PROMINENCE,
     fiber_alignment: str = "resonant",
 ) -> list[DeltaEntry]:
-    """Difference of fitted side-peak distances between the two models, per zeta.
+    """Side-to-middle resonance distances, scattering minus coupled, per zeta.
 
-    Failures (unresolvable peaks, non-converging fits) produce an entry with
-    an error message; the sweep continues.
+    The coupled resonances are the closed-form ``mode_poles`` of the matched
+    system; the scattering resonances are the stack's ``transmission_poles``,
+    found by Newton's method from them.  No frequency grid is involved.  A
+    failed pole search produces an entry with an error message; the loop
+    continues.
     """
     entries = []
     for zeta in zeta_grid:
         if not zeta > 1:
             raise InvalidParameterError(f"peak separation needs zeta > 1, got {zeta!r}")
         setup = build_cascade(zeta, l_c, l_f, n_c, fiber_alignment=fiber_alignment)
-        kappa = setup.match.kappa
+        coupled = mode_poles(setup.system)
         try:
-            grid = default_omega_window(setup, points)
-            scat = sweep_scattering(setup.stack, grid)
-            coup = sweep_coupled(setup.system, grid, eta_from_input(kappa, 1.0))
-            s_left, s_right = three_peak_distances(scat, min_prominence)
-            c_left, c_right = three_peak_distances(coup, min_prominence)
-        except (PeakCountError, FitFailureError, InvalidParameterError) as exc:
-            entries.append(DeltaEntry(zeta, math.nan, math.nan, math.nan, kappa, str(exc)))
-            continue
-        d_left = s_left - c_left
-        d_right = s_right - c_right
-        entries.append(DeltaEntry(zeta, d_left, d_right, 0.5 * (d_left + d_right), kappa))
+            poles, error = np.sort_complex(transmission_poles(setup.stack, coupled)), None
+        except PoleSearchError as exc:
+            poles, error = np.full(3, complex(math.nan, math.nan)), f"zeta={zeta!r}: {exc}"
+        entries.append(DeltaEntry(zeta, setup.match.kappa, tuple(complex(p) for p in poles), coupled, error))
     return entries
 
 

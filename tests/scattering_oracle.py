@@ -19,12 +19,16 @@ from cascavity import Mirror
 _UNIT = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
 
-def matrix(element, k):
-    """2x2 matrix ((m11, m12), (m21, m22)) of one mirror or gap at wavenumber k."""
+def matrix(element, k, exp=cmath.exp):
+    """2x2 matrix ((m11, m12), (m21, m22)) of one mirror or gap at wavenumber k.
+
+    ``exp`` is the exponential used for the gap phase; ``mpmath.exp`` with an
+    ``mpmath.mpc`` wavenumber evaluates the same stack at mpmath's precision.
+    """
     if isinstance(element, Mirror):
         iz = 1j * element.zeta
         return ((1.0 + iz, iz), (-iz, 1.0 - iz))
-    phase = cmath.exp(1j * k * element.length)
+    phase = exp(1j * k * element.length)
     return ((phase, 0j), (0j, 1.0 / phase))
 
 
@@ -37,11 +41,11 @@ def mul(a, b):
     )
 
 
-def product(elements, k):
+def product(elements, k, exp=cmath.exp):
     """Left-to-right product: [X, Y] gives M(Y) @ M(X)."""
     total = _UNIT
     for e in elements:
-        total = mul(matrix(e, k), total)
+        total = mul(matrix(e, k, exp), total)
     return total
 
 

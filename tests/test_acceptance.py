@@ -100,17 +100,17 @@ def test_criterion_05_three_mirror_splitting():
 
 def test_criterion_06_cascaded_comparison():
     zetas = [3.0, 5.0, 8.0, 12.0, 20.0]
-    entries = peak_separation_delta(zetas, 1.0, 5.0, 10, points=4001)
+    entries = peak_separation_delta(zetas, 1.0, 5.0, 10)
     clean = all(e.error is None for e in entries)
     means = [abs(e.delta_mean) for e in entries]
     monotone = all(b < a for a, b in zip(means, means[1:]))
     bound = means[-1] < 0.5 * entries[-1].kappa
     detail = (
-        "three peaks at every zeta; |delta| = "
+        "three distinct poles at every zeta; |delta| = "
         + ", ".join(f"{m:.2e}" for m in means)
         + f"; at zeta=20: {means[-1] / entries[-1].kappa:.3f} kappa"
     )
-    check(6, "cascade delta: 3 peaks, monotone decrease, <0.5 kappa at zeta=20", clean and monotone and bound, detail)
+    check(6, "cascade delta: 3 poles, monotone decrease, <0.5 kappa at zeta=20", clean and monotone and bound, detail)
 
 
 def test_criterion_07_randomized_invariant_suite():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cascavity
 from cascavity import build_cascade, g_from_geometry
 from cascavity.cli import main
 from cascavity.config import parse_config
@@ -152,7 +157,21 @@ class TestDeltaCommand:
         result = CliRunner().invoke(main, ["delta", "--config", str(cfg), "--grid-points", "2001"])
         assert result.exit_code == 0, result.output
         _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
-        assert header == ["zeta", "delta_left", "delta_right", "delta_mean", "kappa", "error", "delta_mean_over_kappa"]
+        assert header == [
+            "zeta",
+            "delta_left",
+            "delta_right",
+            "delta_mean",
+            "kappa",
+            "error",
+            "delta_mean_over_kappa",
+            "scat_hw_lo",
+            "scat_hw_mid",
+            "scat_hw_hi",
+            "coupled_hw_lo",
+            "coupled_hw_mid",
+            "coupled_hw_hi",
+        ]
         assert len(rows) == 2
         assert all(r[5] == "" for r in rows)
         means = [abs(float(r[3])) for r in rows]
@@ -166,14 +185,56 @@ class TestDeltaCommand:
         _, _, rows = read_csv(tmp_path / "out" / "delta.csv")
         assert len(rows) == 1
 
-    def test_per_zeta_error_recorded_not_fatal(self, tmp_path):
+    def _error_row(self, tmp_path, stage):
+        raw = cascade_config(tmp_path / "out", zeta_grid=[5.0, 20.0])
+        result = CliRunner().invoke(main, ["delta", "--config", str(write_config(tmp_path, raw))])
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
+        assert len(rows[0]) == len(header)  # the message holds no comma
+        row = dict(zip(header, rows[0]))
+        assert "zeta=5.0" in row["error"] and stage in row["error"]
+        scat_widths = [c for c in header if c.startswith("scat_hw_")]
+        for column in ["delta_left", "delta_right", "delta_mean", "delta_mean_over_kappa", *scat_widths]:
+            assert row[column] == "nan", column
+        return rows
+
+    def test_pole_non_convergence_recorded_not_fatal(self, tmp_path, monkeypatch):
+        import cascavity.scattering
+
+        monkeypatch.setattr(cascavity.scattering, "_NEWTON_MAX_ITER", 1)
+        rows = self._error_row(tmp_path, "Newton on m22")
+        assert "zeta=20.0" in rows[1][5]
+
+    def test_duplicate_pole_recorded_not_fatal(self, tmp_path, monkeypatch):
+        import cascavity.spectra
+
+        def equal_starts(system):
+            return (complex(system.omega_c, -system.kappa),) * 3
+
+        monkeypatch.setattr(cascavity.spectra, "mode_poles", equal_starts)
+        self._error_row(tmp_path, "same pole")
+
+    def test_nominal_alignment_gives_finite_row(self, tmp_path):
         raw = cascade_config(tmp_path / "out", zeta_grid=[5.0], fiber_alignment="nominal")
+        result = CliRunner().invoke(main, ["delta", "--config", str(write_config(tmp_path, raw))])
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
+        row = dict(zip(header, rows[0]))
+        assert row["error"] == ""
+        assert float(row["delta_mean_over_kappa"]) == pytest.approx(-0.0133, abs=5e-4)
+
+    def test_grid_points_do_not_change_delta(self, tmp_path):
+        # 50 points once ended the coarse-grid Lorentzian fit at max_nfev; poles need no grid
+        raw = cascade_config(tmp_path / "out", zeta_grid=[20.0])
         cfg = write_config(tmp_path, raw)
-        result = CliRunner().invoke(main, ["delta", "--config", str(cfg), "--grid-points", "1001"])
-        assert result.exit_code == 0
+        outputs = []
+        for points in ("50", "40001"):
+            result = CliRunner().invoke(main, ["delta", "--config", str(cfg), "--grid-points", points])
+            assert result.exit_code == 0, result.output
+            outputs.append((tmp_path / "out" / "delta.csv").read_bytes())
+        assert outputs[0] == outputs[1]
         _, _, rows = read_csv(tmp_path / "out" / "delta.csv")
-        assert rows[0][5] != ""
-        assert rows[0][3] == "nan"
+        assert rows[0][5] == ""
 
     def test_sweep_is_config_error(self, tmp_path):
         sweep = {"parameter": "omega", "min": 31.4, "max": 31.8, "points": 101}
@@ -301,3 +362,22 @@ class TestMatchCommand:
         # field drives keep their headers: no pump keys
         field = parse_config(cascade_config("out")).resolved()["drive"]
         assert field == {"kind": "field", "a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}
+
+
+class TestStartup:
+    def test_delta_runs_without_scipy(self, tmp_path):
+        # scipy.optimize was most of the CLI's import time; only lorentzian_fit imports it now
+        raw = cascade_config(tmp_path / "out", zeta_grid=[3.0, 5.0, 8.0, 12.0, 20.0])
+        cfg = write_config(tmp_path, raw)
+        code = (
+            "import sys\n"
+            "import cascavity.cli, cascavity.runs, cascavity.svgplot\n"
+            f"cascavity.cli.main(['delta', '--config', {str(cfg)!r}, '--quiet'], standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cascavity.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "delta.csv").exists()

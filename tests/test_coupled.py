@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import fit_oracle
 from cascavity import (
     InvalidParameterError,
     ModeSystem,
+    mode_poles,
     three_mode_eigenfrequencies,
     two_mode_eigenfrequencies,
 )
@@ -121,7 +123,7 @@ class TestEigenfrequencies:
     def test_two_mode_matches_scattering_splitting(self):
         # oracle: brute-force peak pair of the three-mirror transmission
         from cascavity import sweep_scattering, three_mirror_chain
-        from cascavity.spectra import find_peaks, fit_peaks
+        from cascavity.spectra import find_peaks
 
         zeta = 5.0
         g = 1 / (2 * math.sqrt(26))
@@ -130,7 +132,7 @@ class TestEigenfrequencies:
         spec = sweep_scattering(three_mirror_chain(zeta, 1.0, 1.0), grid)
         found = find_peaks(spec)
         assert len(found) == 2
-        lo_fit, hi_fit = fit_peaks(spec, found)
+        lo_fit, hi_fit = fit_oracle.fit_peaks(spec, found)
         lo, hi = two_mode_eigenfrequencies(omega_c, g)
         assert (hi_fit.center - lo_fit.center) == pytest.approx(hi - lo, rel=0.01)
 
@@ -160,13 +162,40 @@ class TestEigenfrequencies:
 
     def test_eigenfrequencies_predict_photocurrent_peaks(self):
         # good-cavity regime: fitted peak centers sit at the normal-mode frequencies
-        from cascavity import find_peaks, fit_peaks, sweep_coupled
+        from cascavity import find_peaks, sweep_coupled
 
         sys = make_system(g=0.2, kappa=0.004)
         lo, mid, hi = three_mode_eigenfrequencies(sys)
         grid = np.linspace(lo - 0.1, hi + 0.1, 6001)
         spec = sweep_coupled(sys, grid, 0.06)
-        fitted = fit_peaks(spec, find_peaks(spec))
+        fitted = fit_oracle.fit_peaks(spec, find_peaks(spec))
         assert len(fitted) == 3
         for center, want in zip([p.center for p in fitted], (lo, mid, hi)):
             assert center == pytest.approx(want, abs=0.1 * sys.kappa)
+
+
+class TestModePoles:
+    def test_matches_dense_eigensolver(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            wc, wf = rng.uniform(0.5, 20.0, 2)
+            g, kappa = rng.uniform(0.0, 2.0), rng.uniform(1e-6, 1.0)
+            poles = mode_poles(make_system(omega_c=wc, omega_f=wf, g=g, kappa=kappa))
+            dense = np.linalg.eigvals(np.array([[wc - 1j * kappa, 0, g], [0, wc - 1j * kappa, g], [g, g, wf]]))
+            assert np.allclose(poles, np.sort_complex(dense), rtol=1e-12, atol=1e-12)
+            assert poles[0].real <= poles[1].real <= poles[2].real
+            assert complex(wc, -kappa) in poles  # antisymmetric cavity mode, exactly
+
+    def test_resonant_cascade_closed_form(self):
+        # omega_f = omega_c: omega_c - i kappa/2 +- sqrt(2 g^2 - kappa^2/4)
+        system = make_system(omega_c=10.0, omega_f=10.0, g=0.1, kappa=0.05)
+        lo, mid, hi = mode_poles(system)
+        split = math.sqrt(2 * 0.1**2 - 0.025**2)
+        assert mid == complex(10.0, -0.05)
+        assert lo == pytest.approx(complex(10.0 - split, -0.025), rel=1e-15)
+        assert hi == pytest.approx(complex(10.0 + split, -0.025), rel=1e-15)
+
+    def test_lossless_limit_is_the_eigenfrequencies(self):
+        system = make_system(omega_c=10.0, omega_f=9.7, g=0.2, kappa=1e-12)
+        poles = mode_poles(system)
+        assert [p.real for p in poles] == pytest.approx(three_mode_eigenfrequencies(system), rel=1e-12)

@@ -11,4 +11,4 @@ def test_library_use_example_runs():
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    assert len(namespace["peaks"]) == 3
+    assert len(namespace["poles"]) == 3

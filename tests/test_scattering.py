@@ -1,15 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import cascavity.scattering
 import scattering_oracle as oracle
 from cascavity import (
     Gap,
     InvalidParameterError,
     Mirror,
     OpticalStack,
+    PoleSearchError,
     SingularBoundaryError,
+    build_cascade,
     compose,
     field_profile,
     four_mirror_chain,
@@ -17,6 +21,8 @@ from cascavity import (
     region_amplitude_sweep,
     symmetric_cavity,
     three_mirror_chain,
+    mode_poles,
+    transmission_poles,
     transmissivity,
 )
 
@@ -315,6 +321,57 @@ class TestEngineEdges:
         monkeypatch.setattr(scattering, "_M22_FLOOR", math.inf)
         with pytest.raises(SingularBoundaryError):
             region_amplitude_sweep(self.stack, 31.6, 1.0, 0.0)
+
+
+class TestTransmissionPoles:
+    @pytest.mark.parametrize("zeta", [2.0, 5.0, 20.0, 200.0, 1000.0, 2000.0])
+    def test_matches_50_digit_root_of_m22(self, zeta):
+        setup = build_cascade(zeta, 1.0, 5.0, 10)
+        kappa = setup.system.kappa
+        starts = mode_poles(setup.system)
+        poles = transmission_poles(setup.stack, starts)
+
+        def m22(w):
+            return oracle.product(setup.stack.elements, w, mpmath.exp)[1][1]
+
+        with mpmath.workdps(50):
+            for start, pole in zip(starts, poles):
+                w0 = mpmath.mpc(start)
+                exact = complex(mpmath.findroot(m22, (w0, w0 + 1e-3 * kappa)))
+                assert abs(pole - exact) <= 1e-6 * kappa, (zeta, pole, exact)
+
+    @pytest.mark.parametrize("zeta", [1.5, 5.0, 50.0])
+    def test_symmetric_cavity_closed_form(self, zeta):
+        # m22 = 0 gives e^{2i w l} = -(1 - i zeta)^2 / zeta^2
+        length, n = 1.3, 7
+        want = complex((n * math.pi + math.atan2(1.0, zeta)) / length, -math.log1p(zeta**-2) / (2 * length))
+        (pole,) = transmission_poles(symmetric_cavity(zeta, length), [want.real - 0.3j / zeta**2])
+        assert abs(pole - want) <= 1e-14 * abs(want)
+
+    def test_returns_one_pole_per_start_in_order(self):
+        setup = build_cascade(20.0, 1.0, 5.0, 10)
+        starts = mode_poles(setup.system)
+        poles = transmission_poles(setup.stack, starts[::-1])
+        assert np.array_equal(poles[::-1], transmission_poles(setup.stack, starts))
+        assert np.all(np.diff(transmission_poles(setup.stack, starts).real) > 0)
+
+    def test_non_convergence_is_named(self, monkeypatch):
+        setup = build_cascade(5.0, 1.0, 5.0, 10)
+        monkeypatch.setattr(cascavity.scattering, "_NEWTON_MAX_ITER", 2)
+        with pytest.raises(PoleSearchError, match="Newton on m22"):
+            transmission_poles(setup.stack, mode_poles(setup.system))
+
+    def test_same_pole_from_two_starts_is_named(self):
+        setup = build_cascade(5.0, 1.0, 5.0, 10)
+        lo, mid, _ = mode_poles(setup.system)
+        with pytest.raises(PoleSearchError, match="same pole"):
+            transmission_poles(setup.stack, [lo, mid, mid])
+
+    def test_rejects_bad_starts(self):
+        stack = symmetric_cavity(5.0)
+        for starts in ([complex(math.nan, 0.0)], [[31.5]], [math.inf]):
+            with pytest.raises(InvalidParameterError):
+                transmission_poles(stack, starts)
 
 
 class TestRandomizedInvariants:

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import cascavity.scattering
+import cascavity.spectra
+import fit_oracle
 import peaks_oracle
 import scattering_oracle as oracle
 from cascavity import (
@@ -15,17 +18,16 @@ from cascavity import (
     dark_mode_scan,
     default_omega_window,
     find_peaks,
-    fit_peaks,
     intensity_comparison,
     lorentzian_fit,
     omega_c_from_geometry,
     kappa_from_geometry,
+    mode_poles,
     peak_separation_delta,
     sinusoid_fit,
     sweep_coupled,
     sweep_scattering,
     symmetric_cavity,
-    three_peak_distances,
     OpticalStack,
 )
 
@@ -58,7 +60,7 @@ class TestSweeps:
         zeta = 5.0
         setup = build_single_cavity(zeta, 1.0, 10)
         spec = sweep_scattering(setup.stack, default_omega_window(setup, 2001))
-        (peak,) = fit_peaks(spec, find_peaks(spec))
+        (peak,) = fit_oracle.fit_peaks(spec, find_peaks(spec))
         assert peak.center == pytest.approx(omega_c_from_geometry(zeta, 1.0, 10), abs=1e-6)
         assert peak.height == pytest.approx(1.0, abs=1e-3)
 
@@ -82,7 +84,7 @@ class TestSweeps:
     def test_coupled_middle_peak_exactly_at_omega_c(self):
         setup = build_cascade(5.0, 1.0, 5.0, 10)
         spec = sweep_coupled(setup.system, default_omega_window(setup, 4001), math.sqrt(setup.system.kappa))
-        peaks = fit_peaks(spec, find_peaks(spec))
+        peaks = fit_oracle.fit_peaks(spec, find_peaks(spec))
         assert len(peaks) == 3
         mid = peaks[1]
         assert mid.center == pytest.approx(setup.match.omega_c, abs=1e-7)
@@ -215,9 +217,18 @@ class TestLorentzianFit:
         assert exc_info.value.best is not None
 
 
+def _error_entry(zeta, stage):
+    """Assert a recorded pole-search failure: the message names zeta and the stage, no number survives."""
+    (entry,) = peak_separation_delta([zeta], 1.0, 5.0, 10)
+    assert f"zeta={zeta!r}" in entry.error and stage in entry.error
+    assert all(math.isnan(v) for v in (entry.delta_left, entry.delta_right, entry.delta_mean))
+    assert all(math.isnan(p.real) and math.isnan(p.imag) for p in entry.scattering_poles)
+    return entry
+
+
 class TestPeakSeparationDelta:
     def test_reference_zeta_values(self):
-        entries = peak_separation_delta([3.0, 5.0], 1.0, 5.0, 10, points=3001)
+        entries = peak_separation_delta([3.0, 5.0], 1.0, 5.0, 10)
         assert all(e.error is None for e in entries)
         assert abs(entries[1].delta_mean) < abs(entries[0].delta_mean)
         # symmetric configuration: both sides carry the same delta
@@ -228,17 +239,50 @@ class TestPeakSeparationDelta:
         with pytest.raises(InvalidParameterError):
             peak_separation_delta([0.8], 1.0, 5.0, 10)
 
-    def test_unresolvable_configuration_records_error(self):
-        # nominal alignment at moderate zeta: coupled middle and side merge
-        entries = peak_separation_delta([5.0], 1.0, 5.0, 10, points=2001, fiber_alignment="nominal")
-        assert entries[0].error is not None
-        assert math.isnan(entries[0].delta_mean)
+    def test_nominal_alignment_resolves(self):
+        # the fitted peaks of this configuration merged; its poles stay distinct
+        (entry,) = peak_separation_delta([5.0], 1.0, 5.0, 10, fiber_alignment="nominal")
+        assert entry.error is None
+        assert entry.delta_mean / entry.kappa == pytest.approx(-0.0133, abs=5e-4)
+
+    def test_non_convergence_records_error(self, monkeypatch):
+        monkeypatch.setattr(cascavity.scattering, "_NEWTON_MAX_ITER", 1)
+        entry = _error_entry(5.0, "Newton on m22")
+        # the coupled poles are closed forms and stay exact
+        assert entry.coupled_poles == mode_poles(build_cascade(5.0, 1.0, 5.0, 10).system)
+
+    def test_duplicate_pole_records_error(self, monkeypatch):
+        def equal_starts(system):
+            return (complex(system.omega_c, -system.kappa),) * 3
+
+        monkeypatch.setattr(cascavity.spectra, "mode_poles", equal_starts)
+        _error_entry(5.0, "same pole")
+
+    def test_delta_falls_monotonically_with_zeta(self):
+        entries = peak_separation_delta([5.0, 20.0, 200.0, 1000.0, 2000.0], 1.0, 5.0, 10)
+        ratios = [e.delta_mean / e.kappa for e in entries]
+        assert all(e.error is None for e in entries)
+        assert all(b < a for a, b in zip(ratios, ratios[1:])), ratios
+
+    def test_delta_scales_as_kappa_over_zeta(self):
+        # delta_mean * zeta / kappa is 0.2299 from zeta = 200 to 2000
+        entries = peak_separation_delta([200.0, 1000.0, 2000.0], 1.0, 5.0, 10)
+        scaled = [e.delta_mean * e.zeta / e.kappa for e in entries]
+        assert max(scaled) <= 1.01 * min(scaled), scaled
+
+    def test_half_widths_approach_the_port_picture(self):
+        # at large zeta the stack's widths are half the coupled model's (kappa/4, kappa/2, kappa/4)
+        (entry,) = peak_separation_delta([1000.0], 1.0, 5.0, 10)
+        scat = [-p.imag / entry.kappa for p in entry.scattering_poles]
+        coupled = [-p.imag / entry.kappa for p in entry.coupled_poles]
+        assert scat == pytest.approx([0.25, 0.5, 0.25], abs=1e-6)
+        assert coupled == pytest.approx([0.5, 1.0, 0.5], abs=1e-12)
 
     def test_model_against_itself_is_exactly_zero(self):
         setup = build_cascade(5.0, 1.0, 5.0, 10)
         spec = sweep_coupled(setup.system, default_omega_window(setup, 3001), math.sqrt(setup.system.kappa))
-        left_a, right_a = three_peak_distances(spec)
-        left_b, right_b = three_peak_distances(spec)
+        left_a, right_a = fit_oracle.three_peak_distances(spec)
+        left_b, right_b = fit_oracle.three_peak_distances(spec)
         assert left_a - left_b == 0.0
         assert right_a - right_b == 0.0
 
@@ -392,6 +436,6 @@ class TestGridStability:
         centers = []
         for points in (2001, 4001):
             spec = sweep_scattering(setup.stack, default_omega_window(setup, points))
-            centers.append([p.center for p in fit_peaks(spec, find_peaks(spec))])
+            centers.append([p.center for p in fit_oracle.fit_peaks(spec, find_peaks(spec))])
         for a, b in zip(*centers):
             assert abs(a - b) < 1e-6 * fsr
