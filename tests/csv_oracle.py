@@ -1,8 +1,9 @@
 """Reference for ``cascavity.output.write_csv``: the per-cell writer.
 
 Every cell goes through ``format_value`` and the whole file is built as one
-string before it is written.  The package's writer must produce the same
-bytes on every input.
+string before it is written.  A ``str`` cell holding a comma, a double quote
+or a line break is wrapped in double quotes with inner quotes doubled.  The
+package's writer must produce the same bytes on every input.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ def format_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, str):
+        if "," in v or '"' in v or "\n" in v or "\r" in v:
+            return '"' + v.replace('"', '""') + '"'
         return v
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -52,7 +55,7 @@ def write_csv(
         raise ValueError("all CSV columns must have equal length")
     lines = header_lines(version, resolved_config)
     lines.extend(extra_header)
-    lines.append(",".join(names))
+    lines.append(",".join(format_value(name) for name in names))
     for i in range(n):
         lines.append(",".join(format_value(a[i]) for a in arrays))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
