@@ -34,12 +34,15 @@ def _execute(runner, config_path, out_dir, svg, grid_points, quiet):
         config = load_config(config_path)
         if grid_points is not None and grid_points < 2:
             raise ConfigError(f"--grid-points must be at least 2, got {grid_points}")
+        target = Path(out_dir) if out_dir is not None else Path(config.output.directory)
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {str(target)!r}: {exc.strerror or exc}") from exc
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
-    target = Path(out_dir) if out_dir is not None else Path(config.output.directory)
-    target.mkdir(parents=True, exist_ok=True)
     want_svg = svg or config.output.svg
 
     try:

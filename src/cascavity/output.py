@@ -6,41 +6,32 @@ convention is declared in every file's comment header.  A ``str`` cell that
 holds ``,``, ``"``, a newline or a carriage return is quoted the way the
 ``csv`` module's minimal quoting does it.
 
-``write_csv`` formats column by column in blocks of ``_BLOCK_ROWS`` rows: a
-numeric array column is formatted by one ``float.__repr__`` map per block
-instead of ``format_value`` per cell, and a process holds only the block it is
-formatting.  That repr is nearly all of the cost of a large file, so the blocks
-are dealt round-robin to w processes: one per usable CPU, but no more than one
-per ``_MIN_BLOCKS_PER_PROCESS`` blocks, since a forked process has a start-up
-cost of its own.  The calling process formats blocks 0, w, 2w, ...; each of the
-w - 1 forked children formats its own share, sends each block's bytes,
-length-prefixed, over a pipe, and leaves through ``os._exit`` so that inherited
-buffers (the file's header, stdout) are never flushed twice.  The calling
-process writes every block in row order, so the bytes do not depend on the CPU
-count.  With w = 1 (a small file, one usable CPU, or no ``os.fork`` or
-``os.sched_getaffinity`` on the platform) the same loop runs with no children.
-
-The file is opened in binary mode because the children's blocks arrive as
-UTF-8 bytes and are written as they come; the calling process encodes its own
-blocks the same way, and no newline translation applies to either.
+``write_csv`` writes blocks of ``_BLOCK_ROWS`` rows, one after another, and
+holds only the block it is formatting.  A block whose columns are all real
+numeric arrays (int and bool too, written as floats) and whose cells all
+satisfy ``_orjson_prints_repr`` is formatted by one ``orjson.dumps`` of its
+float64 matrix: orjson writes the shortest round-trip digits (Ryu), as repr
+does, and prints them the same way when a cell is zero or ``1e-4 <= |x| <
+1e16``.  Outside that range orjson and repr differ only in layout (``0.00001``
+against ``1e-05``, ``9.06e-7`` against ``9.06e-07``, ``1e16`` against
+``1e+16``), and orjson writes ``nan`` and ``inf`` as ``null``.  Every other
+block is formatted column by column and joined per row: a numeric array column
+by one ``orjson.dumps`` with those cells replaced by their repr, any other
+column (lists, tuples, object arrays) by ``format_value`` per cell.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import struct
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-_BLOCK_ROWS = 8192
-# A forked process first pays copy-on-write faults over a block's working set, then a pipe
-# copy per block: on a 2-vCPU VM a 9-block darkmode.csv was about 12% slower forked.
-_MIN_BLOCKS_PER_PROCESS = 8
+# At 8192 rows the 400,001-row sweep's peak RSS read 1-4 MB higher than at 4096, for
+# about 4% less time (one benchmark run on each of 5 seeds, 2-vCPU x86-64 VM, glibc).
+_BLOCK_ROWS = 4096
 _QUOTED_CHARS = (",", '"', "\n", "\r")
-_FRAME = struct.Struct("<?Q")  # block formatted (else an error message follows), payload length
 
 
 def _quote(s: str) -> str:
@@ -65,13 +56,36 @@ def format_value(v) -> str:
     return _quote(_format_unquoted(v))
 
 
+def _dumps_numpy(x: np.ndarray) -> bytes:
+    # Imported on first use, not with the module: this keeps orjson out of the
+    # CLI's start-up and out of commands whose CSVs hold no numeric array (delta).
+    import orjson
+
+    return orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def _orjson_prints_repr(x: np.ndarray) -> np.ndarray:
+    """Where orjson prints a float64 with the same characters as repr (False at nan and inf)."""
+    a = np.abs(x)
+    return ((a >= 1e-4) & (a < 1e16)) | (a == 0)
+
+
 def format_floats(values) -> list[str]:
     """``format_value`` of each element of a real numeric array, i.e. its float64 repr."""
-    return list(map(float.__repr__, np.asarray(values).astype(float, copy=False).tolist()))
+    x = np.ascontiguousarray(values, dtype=float)
+    cells = _dumps_numpy(x)[1:-1].decode("ascii").split(",") if x.size else []
+    other = np.flatnonzero(~_orjson_prints_repr(x))
+    for i, v in zip(other.tolist(), x[other].tolist()):
+        cells[i] = repr(v)
+    return cells
+
+
+def _is_numeric_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
 
 
 def _format_block(block) -> list[str]:
-    if isinstance(block, np.ndarray) and block.dtype.kind in "biuf":
+    if _is_numeric_array(block):
         return format_floats(block)
     cells = list(map(_format_unquoted, block))
     # only str cells can hold a quoted character: scan the block once, not each cell
@@ -80,72 +94,14 @@ def _format_block(block) -> list[str]:
 
 
 def _block_bytes(cells, start: int) -> bytes:
-    rows = zip(*(_format_block(c[start : start + _BLOCK_ROWS]) for c in cells))
+    blocks = [c[start : start + _BLOCK_ROWS] for c in cells]
+    if all(map(_is_numeric_array, blocks)):
+        x = np.column_stack([b.astype(float, copy=False) for b in blocks])
+        if _orjson_prints_repr(x).all():
+            # "[[a,b],[c,d]]" -> "a,b\nc,d\n"
+            return _dumps_numpy(x)[2:-2].replace(b"],[", b"\n") + b"\n"
+    rows = zip(*map(_format_block, blocks))
     return ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
-
-
-def _worker_count(n_blocks: int) -> int:
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // _MIN_BLOCKS_PER_PROCESS))
-
-
-def _serve_blocks(pipe_fd: int, stale_fds: list[int], cells, starts) -> None:
-    """Forked child: send each block of ``starts`` as a frame, then exit without cleanup."""
-    status = 1
-    try:
-        for fd in stale_fds:  # inherited read ends: the caller closing one must reach its writer
-            os.close(fd)
-        with os.fdopen(pipe_fd, "wb") as pipe:
-            for start in starts:
-                try:
-                    ok, payload = True, _block_bytes(cells, start)
-                except Exception as exc:
-                    ok, payload = False, f"{type(exc).__name__}: {exc}".encode()
-                pipe.write(_FRAME.pack(ok, len(payload)))
-                pipe.write(payload)
-                if not ok:
-                    break
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive_block(reader, start: int) -> bytes:
-    head = reader.read(_FRAME.size)
-    if len(head) == _FRAME.size:
-        ok, size = _FRAME.unpack(head)
-        payload = reader.read(size)
-        if len(payload) == size:
-            if ok:
-                return payload
-            raise RuntimeError(f"formatting CSV rows from {start} failed in a worker process: {payload.decode()}")
-    raise RuntimeError(f"a CSV worker process exited before sending the rows from {start}")
-
-
-def _write_blocks(f, cells, starts: range, workers: int) -> None:
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), for workers 1, 2, ...
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _serve_blocks(w, [r, *(reader.fileno() for _, reader in children)], cells, starts[k::workers])
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        for i, start in enumerate(starts):
-            k = i % workers
-            f.write(_block_bytes(cells, start) if k == 0 else _receive_block(children[k - 1][1], start))
-    finally:
-        for _, reader in children:  # a child still writing gets BrokenPipeError and exits
-            reader.close()
-        for pid, _ in children:
-            os.waitpid(pid, 0)
 
 
 def header_lines(version: str, resolved_config: dict) -> list[str]:
@@ -174,10 +130,10 @@ def write_csv(
     n = len(cells[0]) if cells else 0
     if any(len(c) != n for c in cells):
         raise ValueError("all CSV columns must have equal length")
-    starts = range(0, n, _BLOCK_ROWS)
     with path.open("wb") as f:
         f.write(("\n".join([*header_lines(version, resolved_config), ",".join(names)]) + "\n").encode("utf-8"))
-        _write_blocks(f, cells, starts, _worker_count(len(starts)))
+        for start in range(0, n, _BLOCK_ROWS):
+            f.write(_block_bytes(cells, start))
     return path
 
 

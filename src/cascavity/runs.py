@@ -13,7 +13,7 @@ from . import __version__
 from .config import DriveConfig, ExperimentConfig
 from .errors import ConfigError
 from .matching import eta_from_input, kappa_from_geometry
-from .output import format_floats, write_csv, write_json
+from .output import write_csv, write_json
 from .spectra import (
     DEFAULT_GRID_POINTS,
     build_cascade,
@@ -220,18 +220,14 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
 
     n_omega, n_phi = scan.intensity.shape
     omega_c = setup.match.omega_c
-
-    def per_row(values):  # omega-indexed column, formatted once and repeated for every phi
-        return [s for s in format_floats(values) for _ in range(n_phi)]
-
     paths = [
         write_csv(
             out_dir / "darkmode.csv",
             [
-                ("omega", per_row(scan.omega_grid)),
-                ("phi", format_floats(scan.phi_grid) * n_omega),
+                ("omega", np.repeat(scan.omega_grid, n_phi)),
+                ("phi", np.tile(scan.phi_grid, n_omega)),
                 ("fiber_intensity", scan.intensity.reshape(-1)),
-                ("omega_over_omega_c", per_row(scan.omega_grid / omega_c)),
+                ("omega_over_omega_c", np.repeat(scan.omega_grid / omega_c, n_phi)),
             ],
             __version__,
             config.resolved(),

@@ -347,6 +347,16 @@ class TestMatchCommand:
         assert (tmp_path / "custom" / "params.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("via_flag", [True, False], ids=["out_flag", "config"])
+    def test_output_directory_under_a_file_is_config_error(self, tmp_path, via_flag):
+        (tmp_path / "afile").write_text("not a directory")
+        target = tmp_path / "afile" / "sub"
+        cfg = write_config(tmp_path, cascade_config(tmp_path / "out" if via_flag else target))
+        args = ["match", "--config", str(cfg), *(["--out", str(target)] if via_flag else [])]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error:") and str(target) in result.output
+
     def test_pump_drive_strengths_reach_the_provenance(self, tmp_path):
         blocks = []
         for eta_r in (0.05, 0.07):
@@ -366,14 +376,15 @@ class TestMatchCommand:
 
 class TestStartup:
     def test_delta_runs_without_scipy(self, tmp_path):
-        # scipy.optimize was most of the CLI's import time; only lorentzian_fit imports it now
+        # scipy.optimize was most of the CLI's import time; only lorentzian_fit imports it now.
+        # orjson formats numeric array columns only, and delta.csv has none.
         raw = cascade_config(tmp_path / "out", zeta_grid=[3.0, 5.0, 8.0, 12.0, 20.0])
         cfg = write_config(tmp_path, raw)
         code = (
             "import sys\n"
             "import cascavity.cli, cascavity.runs, cascavity.svgplot\n"
             f"cascavity.cli.main(['delta', '--config', {str(cfg)!r}, '--quiet'], standalone_mode=False)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))\n"
         )
         src = str(Path(cascavity.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

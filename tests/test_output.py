@@ -3,7 +3,6 @@
 import csv
 import io
 import os
-import signal
 import tracemalloc
 
 import numpy as np
@@ -53,11 +52,93 @@ def written(writer, path, columns) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+# the edges of the first and second block, and a short last block after several full ones
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 3, 4 * BLOCK + 3]
+)
 def test_edge_values_match_per_cell_writer(tmp_path, n):
     columns = edge_columns(n, seed=n)
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
     assert written(output.write_csv, tmp_path / "block.csv", columns) == expected
+
+
+def neighbours(*values):
+    """Each value with its nextafter neighbours toward zero and away from it."""
+    return [v for x in values for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.copysign(np.inf, x)))]
+
+
+# orjson prints a float64 as repr does at zero and in [1e-4, 1e16); outside that range it lays
+# out the same digits differently (0.00001 against 1e-05, 1e16 against 1e+16), and it writes
+# nan and inf as null, so the block writer must send those cells to repr
+ORJSON_EDGES = neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e16, -1e16)
+ORJSON_IN_RANGE = [v for v in ORJSON_EDGES if 1e-4 <= abs(v) < 1e16] + [0.0, -0.0, 1.0, 0.1, -2.5, 2.0**53]
+
+
+def numeric_columns(n: int, seed: int, edges) -> list:
+    """Numeric array columns only: float64, a strided view, float32, int, uint8 and bool."""
+    rng = np.random.default_rng(seed)
+    special = np.resize(np.array(edges), n)
+    random = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.9, 15.9, n)
+    return [
+        ("special", special),
+        ("reversed", random[::-1]),  # a strided view
+        ("float32", random.astype(np.float32)),
+        ("int", rng.integers(-(2**53), 2**53, n)),
+        ("uint8", rng.integers(0, 256, n).astype(np.uint8)),
+        ("bool", rng.random(n) < 0.5),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_numeric_columns_match_per_cell_writer(tmp_path, monkeypatch, n):
+    subnormals = [5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+    everywhere = numeric_columns(n, n, ORJSON_EDGES + subnormals + SPECIAL_FLOATS)
+    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", everywhere)
+    assert written(output.write_csv, tmp_path / "block.csv", everywhere) == expected
+
+    in_range = numeric_columns(n, n, ORJSON_IN_RANGE)
+    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", in_range)
+    monkeypatch.setattr(output, "format_floats", None)  # every block takes the one-dumps path
+    assert written(output.write_csv, tmp_path / "block.csv", in_range) == expected
+
+
+def test_nan_sends_only_its_block_to_per_column_formatting(tmp_path, monkeypatch):
+    columns = numeric_columns(3 * BLOCK, 3, ORJSON_IN_RANGE)
+    columns[0][1][BLOCK + 5] = float("nan")
+    calls = []
+    format_floats = output.format_floats
+
+    def recorded(values):
+        calls.append(np.array(values, copy=True))
+        return format_floats(values)
+
+    monkeypatch.setattr(output, "format_floats", recorded)
+    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
+    assert written(output.write_csv, tmp_path / "block.csv", columns) == expected
+    assert len(calls) == len(columns)
+    for got, (_, values) in zip(calls, columns):
+        np.testing.assert_array_equal(got, values[BLOCK : 2 * BLOCK])
+
+
+def test_a_million_floats_match_repr(tmp_path):
+    rng = np.random.default_rng(2018)
+    n = 125_000
+    signs = rng.choice([-1.0, 1.0], n)
+    scale = 10.0 ** rng.integers(0, 8, n)
+    kinds = np.concatenate(
+        [
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),  # random bit patterns
+            signs * 10.0 ** rng.uniform(-320, 300, n),
+            np.round(signs * rng.uniform(0, 1e4, n) * scale) / scale,  # rounded decimals
+            signs * 10.0 ** rng.uniform(-5, 17, n),
+            neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e16, -1e16, 1e21, -1e21),
+        ]
+    )
+    values = np.concatenate([kinds, rng.permutation(kinds)])  # blocks of one kind, then mixed blocks
+    assert values.size >= 1_000_000
+    output.write_csv(tmp_path / "x.csv", [("x", values)], "0", {})
+    body = (tmp_path / "x.csv").read_bytes().split(b"\n", 4)[4]
+    assert body == ("\n".join(map(float.__repr__, values.tolist())) + "\n").encode()
 
 
 def csv_rows(path):
@@ -101,73 +182,6 @@ def test_degenerate_shapes_match_per_cell_writer(tmp_path, columns):
     assert written(output.write_csv, tmp_path / "block.csv", columns) == expected
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """A setter of the usable CPU count that write_csv sees; it returns the list of pids forked after it.
-
-    Every block may go to its own process, so that small files take the forked path.
-    """
-    monkeypatch.setattr(output, "_MIN_BLOCKS_PER_PROCESS", 1)
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def set_cpus(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        forks.clear()
-        return forks
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return set_cpus
-
-
-@pytest.fixture
-def no_hang():
-    """Fail a test with TimeoutError instead of letting it wait forever on a worker process."""
-
-    def expire(signum, frame):
-        raise TimeoutError("write_csv did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK, 3 * BLOCK, 4 * BLOCK, 3 * BLOCK + 5])
-def test_forked_blocks_match_per_cell_writer(tmp_path, cpus, no_hang, n):
-    """Every CPU count deals the blocks to min(CPUs, blocks) processes and writes the same bytes."""
-    columns = edge_columns(n, seed=n + 1)
-    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
-    blocks = -(-n // BLOCK)
-    for count in (1, 2, 3):
-        forks = cpus(count)
-        assert written(output.write_csv, tmp_path / f"cpus{count}.csv", columns) == expected, count
-        assert len(forks) == min(count, blocks) - 1
-        assert_no_child_left()
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 4])
-def test_each_forked_process_gets_a_minimum_share_of_blocks(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    share = output._MIN_BLOCKS_PER_PROCESS
-    for processes in range(1, count + 1):
-        assert output._worker_count(processes * share) == processes
-        assert output._worker_count(processes * share - 1) == max(1, processes - 1)
-    assert output._worker_count(100 * share) == count
-
-
 def failing_column(bad_row: int, n: int):
     class BadCell:
         def __float__(self):
@@ -176,30 +190,27 @@ def failing_column(bad_row: int, n: int):
     return [BadCell() if i == bad_row else 0.5 for i in range(n)]
 
 
-def test_failure_in_a_worker_is_raised_with_its_message(tmp_path, cpus, no_hang):
-    cpus(2)  # the child owns blocks 1 and 3
-    columns = [*edge_columns(4 * BLOCK), ("bad", failing_column(BLOCK + 17, 4 * BLOCK))]
-    with pytest.raises(RuntimeError, match=f"ValueError: cell {BLOCK + 17} cannot be formatted"):
-        output.write_csv(tmp_path / "x.csv", columns, "0", {})
-    assert_no_child_left()
-
-
-def test_failure_in_the_caller_stops_its_workers(tmp_path, cpus, no_hang, monkeypatch):
-    statuses = []
-    waitpid = os.waitpid
-
-    def recorded_waitpid(pid, options):
-        result = waitpid(pid, options)
-        statuses.append(os.waitstatus_to_exitcode(result[1]))
-        return result
-
-    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
-    forks = cpus(2)  # the caller owns blocks 0 and 2; the child's block 3 is far larger than a pipe's buffer
+def test_failure_in_the_caller_stops_its_workers(tmp_path):
+    """Blocks are formatted in the calling process: a failing cell surfaces as its own error, no child is left."""
     columns = [*edge_columns(4 * BLOCK), ("bad", failing_column(2 * BLOCK + 3, 4 * BLOCK))]
     with pytest.raises(ValueError, match=f"cell {2 * BLOCK + 3} cannot be formatted"):
         output.write_csv(tmp_path / "x.csv", columns, "0", {})
-    assert len(forks) == 1 and statuses == [1]  # the child left through its BrokenPipeError, not a clean exit
-    assert_no_child_left()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_csv_never_forks(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("write_csv forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    # four usable CPUs and 16 blocks: a writer that formats blocks in a pool would fork here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    columns = [("x", np.linspace(1.0, 2.0, 16 * BLOCK)), ("text", ["a"] * (16 * BLOCK))]
+    for cols in (columns[:1], columns):  # every block takes the orjson path, then none does
+        assert written(output.write_csv, tmp_path / "block.csv", cols) == written(
+            csv_oracle.write_csv, tmp_path / "oracle.csv", cols
+        )
 
 
 def test_unequal_columns_rejected(tmp_path):
@@ -231,7 +242,6 @@ def test_every_command_matches_per_cell_writer(tmp_path, monkeypatch, drive):
 
     block = run_all(tmp_path / "block")
     monkeypatch.setattr(runs, "write_csv", csv_oracle.write_csv)
-    monkeypatch.setattr(runs, "format_floats", list)  # hand the oracle every float cell unformatted
     monkeypatch.setattr(svgplot, "heat_map", heatmap_oracle.heat_map)
     per_cell = run_all(tmp_path / "per_cell")
     assert block.keys() == per_cell.keys()
@@ -241,7 +251,7 @@ def test_every_command_matches_per_cell_writer(tmp_path, monkeypatch, drive):
 
 
 def test_darkmode_rows_are_omega_major(tmp_path):
-    """darkmode.csv repeats preformatted omega strings: rows must still run over phi fastest."""
+    """darkmode.csv repeats each omega for every phi: rows must run over phi fastest."""
     config = parse_config({**README_CONFIG, "phase_grid": {"min": -1.0, "max": 2.0, "points": 7}})
     runs.run_darkmode(config, tmp_path, False, 11)
     setup = build_cascade(5.0, 1.0, 5.0, 10)
@@ -259,7 +269,7 @@ def test_darkmode_rows_are_omega_major(tmp_path):
 
 def test_memory_stays_below_an_eighth_of_per_cell_writer(tmp_path):
     rng = np.random.default_rng(7)
-    columns = [(f"c{i}", rng.standard_normal(200_000)) for i in range(6)]
+    columns = [("c", rng.standard_normal(200_000))]
 
     def peak(writer, path):
         tracemalloc.start()
