@@ -8,16 +8,15 @@ holds ``,``, ``"``, a newline or a carriage return is quoted the way the
 
 ``write_csv`` writes blocks of ``_BLOCK_ROWS`` rows, one after another, and
 holds only the block it is formatting.  A block whose columns are all real
-numeric arrays (int and bool too, written as floats) and whose cells all
-satisfy ``_orjson_prints_repr`` is formatted by one ``orjson.dumps`` of its
-float64 matrix: orjson writes the shortest round-trip digits (Ryu), as repr
-does, and prints them the same way when a cell is zero or ``1e-4 <= |x| <
-1e16``.  Outside that range orjson and repr differ only in layout (``0.00001``
-against ``1e-05``, ``9.06e-7`` against ``9.06e-07``, ``1e16`` against
-``1e+16``), and orjson writes ``nan`` and ``inf`` as ``null``.  Every other
-block is formatted column by column and joined per row: a numeric array column
-by one ``orjson.dumps`` with those cells replaced by their repr, any other
-column (lists, tuples, object arrays) by ``format_value`` per cell.
+numeric arrays (int and bool too, written as floats) and whose cells are all
+finite is written from one ``orjson.dumps`` of its float64 matrix.  orjson
+writes repr's shortest round-trip digits (Ryu); where ``_orjson_prints_repr``
+is False it lays them out differently (``0.00001``, ``9.06e-7``, ``1e16`` for
+``1e-05``, ``9.06e-07``, ``1e+16``), and ``_repr_dumps`` edits those cells'
+text into repr's layout without calling repr.  Every other block is
+formatted column by column and joined per row: a numeric array column the
+same way, with repr on its nan and inf, any other column (lists, tuples,
+object arrays) by ``format_value`` per cell.
 """
 
 from __future__ import annotations
@@ -67,16 +66,58 @@ def _dumps_numpy(x: np.ndarray) -> bytes:
 def _orjson_prints_repr(x: np.ndarray) -> np.ndarray:
     """Where orjson prints a float64 with the same characters as repr (False at nan and inf)."""
     a = np.abs(x)
-    return ((a >= 1e-4) & (a < 1e16)) | (a == 0)
+    return ((a >= 1e-4) & (a < 1e16)) | (a < 1e-9)
+
+
+def _e05_cells(x: np.ndarray) -> list[bytes]:
+    """repr of floats with 1e-5 <= |x| < 1e-4: orjson's "0.0000DREST" laid out as "D.RESTe-05"."""
+    text = _dumps_numpy(x)[1:-1].replace(b",", b"e-05,") + b"e-05"
+    b = np.frombuffer(text, np.uint8).copy()
+    dot = np.flatnonzero(b == ord("."))
+    b[dot - 1] = b[dot + 5]  # "0.0000DREST" -> "D.0000DREST"
+    for i in range(1, 6):  # then the "0000D" goes
+        b[dot + i] = 0
+    b[dot[b[dot + 6] == ord("e")]] = 0  # and so does the dot of a one-digit mantissa
+    return b.tobytes().translate(None, b"\0").split(b",")
+
+
+def _relaid_cells(x: np.ndarray) -> list[bytes]:
+    """repr of each float64 in x, all finite and none printed by orjson as repr prints it."""
+    a = np.abs(x)
+    edits = [
+        ((a >= 1e-5) & (a < 1e-4), _e05_cells),
+        (a < 1e-5, lambda v: _dumps_numpy(v)[1:-1].replace(b"e-", b"e-0").split(b",")),  # "e-6": "e-06"
+        (a >= 1e16, lambda v: _dumps_numpy(v)[1:-1].replace(b"e", b"e+").split(b",")),  # "e16": "e+16"
+    ]
+    edits = [(where, edit) for where, edit in edits if where.any()]
+    if len(edits) == 1:
+        return edits[0][1](x)
+    cells = np.empty(x.size, dtype=object)
+    for where, edit in edits:
+        cells[where] = edit(x[where])
+    return cells.tolist()
+
+
+def _repr_dumps(x: np.ndarray) -> bytes:
+    """orjson's text of a C-contiguous array of finite float64, each number laid out as repr lays it out."""
+    other = ~_orjson_prints_repr(x)
+    if not other.any():
+        return _dumps_numpy(x)
+    # orjson prints nan as "null", which no number holds: split there, put the relaid cells between
+    pieces = _dumps_numpy(np.where(other, np.nan, x)).split(b"null")
+    joined = [b""] * (2 * len(pieces) - 1)
+    joined[::2] = pieces
+    joined[1::2] = _relaid_cells(x[other])
+    return b"".join(joined)
 
 
 def format_floats(values) -> list[str]:
     """``format_value`` of each element of a real numeric array, i.e. its float64 repr."""
     x = np.ascontiguousarray(values, dtype=float)
-    cells = _dumps_numpy(x)[1:-1].decode("ascii").split(",") if x.size else []
-    other = np.flatnonzero(~_orjson_prints_repr(x))
-    for i, v in zip(other.tolist(), x[other].tolist()):
-        cells[i] = repr(v)
+    finite = np.isfinite(x)
+    cells = _repr_dumps(np.where(finite, x, 0.0))[1:-1].decode("ascii").split(",") if x.size else []
+    for i in np.flatnonzero(~finite).tolist():
+        cells[i] = repr(float(x[i]))
     return cells
 
 
@@ -97,9 +138,9 @@ def _block_bytes(cells, start: int) -> bytes:
     blocks = [c[start : start + _BLOCK_ROWS] for c in cells]
     if all(map(_is_numeric_array, blocks)):
         x = np.column_stack([b.astype(float, copy=False) for b in blocks])
-        if _orjson_prints_repr(x).all():
+        if np.isfinite(x).all():
             # "[[a,b],[c,d]]" -> "a,b\nc,d\n"
-            return _dumps_numpy(x)[2:-2].replace(b"],[", b"\n") + b"\n"
+            return _repr_dumps(x)[2:-2].replace(b"],[", b"\n") + b"\n"
     rows = zip(*map(_format_block, blocks))
     return ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
 

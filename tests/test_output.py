@@ -67,10 +67,10 @@ def neighbours(*values):
     return [v for x in values for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.copysign(np.inf, x)))]
 
 
-# orjson prints a float64 as repr does at zero and in [1e-4, 1e16); outside that range it lays
-# out the same digits differently (0.00001 against 1e-05, 1e16 against 1e+16), and it writes
-# nan and inf as null, so the block writer must send those cells to repr
-ORJSON_EDGES = neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e16, -1e16)
+# orjson prints a float64 as repr does at zero, in [1e-4, 1e16) and below 1e-9; in between it
+# lays out the same digits differently (0.00001 against 1e-05, 9e-7 against 9e-07, 1e16 against
+# 1e+16), which the block writer edits into repr's layout, and it writes nan and inf as null
+ORJSON_EDGES = neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e-9, -1e-9, 1e16, -1e16)
 ORJSON_IN_RANGE = [v for v in ORJSON_EDGES if 1e-4 <= abs(v) < 1e16] + [0.0, -0.0, 1.0, 0.1, -2.5, 2.0**53]
 
 
@@ -100,6 +100,24 @@ def test_numeric_columns_match_per_cell_writer(tmp_path, monkeypatch, n):
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", in_range)
     monkeypatch.setattr(output, "format_floats", None)  # every block takes the one-dumps path
     assert written(output.write_csv, tmp_path / "block.csv", in_range) == expected
+
+
+# every layout edit, with one-digit mantissas and both signs, mixed in one block
+RELAID = neighbours(1e-5, -1e-5, 1e-9, -1e-9, 1e16, -1e16, 1e100) + [2e-5, -3e-5, 1.5e-5, 1e-6, -7e-9, 1e17, 1.5e100]
+
+
+@pytest.mark.parametrize("n", [1, 7, BLOCK + 1])
+def test_finite_blocks_never_call_repr(tmp_path, monkeypatch, n):
+    """Finite numeric blocks are written from orjson's text, also where its layout is not repr's."""
+    columns = numeric_columns(n, n, RELAID + ORJSON_IN_RANGE + [5e-324, -1e-300])
+    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
+
+    def no_repr(value):
+        raise AssertionError(f"repr of {value} called")
+
+    monkeypatch.setattr(output, "repr", no_repr, raising=False)
+    monkeypatch.setattr(output, "format_floats", None)
+    assert written(output.write_csv, tmp_path / "block.csv", columns) == expected
 
 
 def test_nan_sends_only_its_block_to_per_column_formatting(tmp_path, monkeypatch):
