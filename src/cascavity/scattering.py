@@ -20,24 +20,37 @@ Conventions (fixed throughout the package):
 
 One engine evaluates every stack, over wavenumbers and drives of any
 broadcast shape: ``compose`` gives the stack's matrix entries,
-``region_amplitude_sweep`` the amplitude pair of every homogeneous region
-under two-sided drive, ``field_profile`` the amplitudes at arbitrary
-positions, and ``transmission_poles`` the complex zeros of m22, which are the
-stack's resonances.  Every matrix factor has determinant exactly 1, which the
-boundary solve exploits: with det M = 1 the outgoing amplitudes are
+``region_amplitude_sweep`` the amplitude pair of the homogeneous regions a
+caller asks for (``regions``, default all) under two-sided drive,
+``field_profile`` the amplitudes at arbitrary positions, and
+``transmission_poles`` the complex zeros of m22, which are the stack's
+resonances.
 
-    b_out = (d_in - m21 * a_in) / m22
+The stack is lossless: at real k every factor, and so every product, has the
+form [[conj(m22), m12], [conj(m12), m22]], so the engine carries only the
+second column (m12, m22) through the stack.  A mirror maps (x, y) to
+(x + w, y - w) with w = i*zeta*(x + y), a gap to (p*x, y/p) with p = e^{ikl};
+gaps of equal length share one phase, so the cavity-fiber-cavity chain takes
+two exponentials, not three.  The same steps propagate region amplitudes and,
+at complex omega, carry dm22/domega for the pole search.  Every factor has
+determinant exactly 1, which the boundary solve exploits: the outgoing
+amplitudes are
+
+    b_out = (d_in - m21 * a_in) / m22,    m21 = conj(m12)
     c_out = (a_in + m12 * d_in) / m22
 
 both free of the catastrophic cancellation that the textbook form
 ``c_out = m11*a_in + m12*b_out`` suffers for highly reflective stacks.
+Each interior region is propagated from the nearer outer region, (a_in,
+b_out) or (c_out, d_in), through at most half the stack.  Only the regions a
+caller asks for are built; the last needs neither b_out nor any propagation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -176,8 +189,8 @@ def four_mirror_chain(zeta: float, cavity_length: float, fiber_length: float) ->
 
 
 # ---------------------------------------------------------------------------
-# The transfer-matrix engine.  A matrix is its four entries (m11, m12, m21,
-# m22); mirror entries are scalars, gap entries arrays shaped like k.
+# The transfer-matrix engine.  A step maps a pair across one element: a
+# mirror's step is (i*zeta, None), a gap's (e^{ikl}, e^{-ikl}).
 
 
 def _check_wavenumbers(k) -> np.ndarray:
@@ -188,49 +201,98 @@ def _check_wavenumbers(k) -> np.ndarray:
     return k
 
 
-def _element_factors(stack: OpticalStack, k: np.ndarray) -> list[tuple]:
-    factors = []
+def _steps(stack: OpticalStack, k) -> list[tuple]:
+    """One step per element, at real or complex ``k``; gaps of equal length share their phase arrays."""
+    phases = {}
+    steps = []
     for e in stack.elements:
         if isinstance(e, Mirror):
-            iz = 1j * e.zeta
-            factors.append((1.0 + iz, iz, -iz, 1.0 - iz))
+            steps.append((1j * e.zeta, None))
         else:
-            phase = np.exp(1j * k * e.length)
-            factors.append((phase, 0.0, 0.0, 1.0 / phase))
-    return factors
+            if e.length not in phases:
+                p = np.exp(1j * e.length * k)
+                phases[e.length] = (p, 1.0 / p)
+            steps.append(phases[e.length])
+    return steps
 
 
-def _apply(m, right, left):
-    """Map an amplitude pair across one element (left side -> right side)."""
-    m11, m12, m21, m22 = m
-    return m11 * right + m12 * left, m21 * right + m22 * left
+def _step(step, x, y):
+    """Map an amplitude pair, or the second matrix column, across one element (left side -> right side).
+
+    A mirror adds into array arguments in place (scalars are replaced); a gap
+    returns new arrays, because numpy rounds an in-place product on a
+    1-element array differently from the same product on a longer one.
+    """
+    s, q = step
+    if q is None:
+        w = s * (x + y)
+        x += w
+        y -= w
+        return x, y
+    return s * x, q * y
 
 
-def _product(factors):
-    """Left-to-right product: composing [X, Y] gives M(Y) @ M(X), column by column."""
-    m11, m12, m21, m22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for m in factors:
-        m11, m21 = _apply(m, m11, m21)
-        m12, m22 = _apply(m, m12, m22)
-    return m11, m12, m21, m22
+def _second_column(steps):
+    """(m12, m22) of the left-to-right product: composing [X, Y] gives M(Y) @ M(X)."""
+    col = (0j, 1.0 + 0j)
+    for step in steps:
+        col = _step(step, *col)
+    return col
+
+
+def _walk(x, y, steps, stops) -> dict:
+    """The pair (x, y) after j of ``steps``, for each j in ``stops``; takes only the steps it needs."""
+    found = {}
+    end = max(stops)
+    for j in range(end + 1):
+        if j in stops:
+            found[j] = (x, y)
+        if j < end:
+            # a step updates its arrays in place: never the drive view or a returned pair
+            if j == 0 or j in stops:
+                x, y = x.copy(), y.copy()
+            x, y = _step(steps[j], x, y)
+    return found
 
 
 def compose(stack: OpticalStack, k):
-    """Entries (m11, m12, m21, m22) of the stack's transfer matrix, read-only arrays shaped like ``k``."""
+    """Entries (m11, m12, m21, m22) of the stack's transfer matrix, read-only arrays shaped like ``k``.
+
+    The matrix is lossless: m11 = conj(m22) and m21 = conj(m12) exactly.
+    """
     k = _check_wavenumbers(k)
-    entries = _product(_element_factors(stack, k))
+    m12, m22 = _second_column(_steps(stack, k))
+    entries = (np.conj(m22), m12, np.conj(m12), m22)
     return tuple(np.broadcast_to(np.asarray(m, dtype=complex), k.shape) for m in entries)
 
 
-def region_amplitude_sweep(stack: OpticalStack, k, a_in, d_in) -> list[tuple[np.ndarray, np.ndarray]]:
+def region_amplitude_sweep(
+    stack: OpticalStack, k, a_in, d_in, *, regions: Sequence[int] | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Amplitude pair (A, B) of every region for incoming a_in (left) and d_in (right).
 
     ``k``, ``a_in`` and ``d_in`` broadcast together, and every returned array
     has their broadcast shape (the drive arrays are read-only views).  Region
     0 lies left of the stack and region i right of element i - 1, so the
-    first pair is (a_in, b_out) and the last (c_out, d_in).  Interior regions
-    are propagated forward from the left.  Linear in the drive.
+    first pair is (a_in, b_out) and the last (c_out, d_in).  Each interior
+    region is propagated from the nearer end: forward from (a_in, b_out) or
+    backward from (c_out, d_in).  Linear in the drive.
+
+    ``regions`` lists the region indices to return, in that order; negative
+    indices count from the end and ``None`` means every region.  Only those
+    regions are computed, and only the steps they need are taken: the last
+    region needs neither b_out nor any propagation.
     """
+    count = len(stack.elements) + 1
+    if regions is None:
+        wanted = list(range(count))
+    else:
+        wanted = []
+        for i in regions:
+            if not (isinstance(i, (int, np.integer)) and not isinstance(i, bool) and -count <= i < count):
+                msg = f"region index {i!r} is not an int in [{-count}, {count - 1}] ({count} regions)"
+                raise InvalidParameterError(msg)
+            wanted.append(int(i) % count)
     k = _check_wavenumbers(k)
     a = np.asarray(a_in, dtype=complex)
     d = np.asarray(d_in, dtype=complex)
@@ -238,22 +300,25 @@ def region_amplitude_sweep(stack: OpticalStack, k, a_in, d_in) -> list[tuple[np.
         raise InvalidParameterError("drive amplitudes a_in and d_in must be finite")
     shape = np.broadcast_shapes(k.shape, a.shape, d.shape)
     a, d = np.broadcast_to(a, shape), np.broadcast_to(d, shape)
-    factors = _element_factors(stack, k)
-    _, m12, m21, m22 = _product(factors)
+    steps = _steps(stack, k)
+    m12, m22 = _second_column(steps)
     if np.any(np.abs(m22) < _M22_FLOOR):
         smallest = float(np.min(np.abs(m22)))
         raise SingularBoundaryError(f"stack transfer matrix is numerically singular (|m22| = {smallest:.3e})")
-    b_out = (d - m21 * a) / m22
-    # det M = 1 exactly for mirror/gap products, so m11 - m12*m21/m22 = 1/m22.
-    c_out = (a + m12 * d) / m22
 
-    regions = [(a, b_out)]
-    for m in factors[:-1]:
-        regions.append(_apply(m, *regions[-1]))
-    if factors:
-        # not propagated: the last step would reintroduce the cancellation
-        regions.append((c_out, d))
-    return regions
+    # each region from the nearer end, so that no region is propagated through more than half the stack
+    last = count - 1
+    from_left = [i for i in wanted if 2 * i <= last]
+    from_right = [last - i for i in wanted if 2 * i > last]
+    found = {}
+    # det M = 1 exactly for mirror/gap products: the closed forms for b_out and c_out
+    if from_left:
+        found.update(_walk(a, (d - np.conj(m12) * a) / m22, steps, from_left))
+    if from_right:
+        # the inverse steps, right to left: a mirror's with -zeta, a gap's with p and 1/p swapped
+        back = [(-s, None) if q is None else (q, s) for s, q in reversed(steps)]
+        found.update((last - j, pair) for j, pair in _walk((a + m12 * d) / m22, d, back, from_right).items())
+    return [found[i] for i in wanted]
 
 
 def field_profile(stack: OpticalStack, k, a_in, d_in, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -278,22 +343,20 @@ def field_profile(stack: OpticalStack, k, a_in, d_in, positions) -> tuple[np.nda
 
 
 def _m22_and_derivative(stack: OpticalStack, omega: np.ndarray):
-    """m22 and dm22/domega at complex ``omega``, from one forward-mode pass over the factors.
+    """m22 and dm22/domega at complex ``omega``, from one forward-mode pass over the steps.
 
-    The running product's second column (m12, m22) and its derivative are
-    carried together.  Mirrors do not depend on omega; a gap factor
-    diag(e^{i*omega*l}, e^{-i*omega*l}) has derivative
-    i*l * diag(e^{i*omega*l}, -e^{-i*omega*l}).
+    The second column (m12, m22) and its derivative are carried together.
+    Mirrors do not depend on omega; a gap maps (x, y) to (p*x, y/p) with
+    p = e^{i*omega*l}, whose derivative adds (i*l*p*x, -i*l*y/p).
     """
     col = (np.zeros_like(omega), np.ones_like(omega))
     dcol = (np.zeros_like(omega), np.zeros_like(omega))
-    for e, m in zip(stack.elements, _element_factors(stack, omega)):
-        dcol = _apply(m, *dcol)
+    for e, step in zip(stack.elements, _steps(stack, omega)):
+        dcol = _step(step, *dcol)
+        col = _step(step, *col)
         if isinstance(e, Gap):
             il = 1j * e.length
-            d12, d22 = _apply((il * m[0], 0.0, 0.0, -il * m[3]), *col)
-            dcol = (dcol[0] + d12, dcol[1] + d22)
-        col = _apply(m, *col)
+            dcol = (dcol[0] + il * col[0], dcol[1] - il * col[1])
     return col[1], dcol[1]
 
 

@@ -157,7 +157,7 @@ def sweep_scattering(stack: OpticalStack, omega_grid, a_in: complex = 1.0, d_in:
     if a_in == 0:
         raise InvalidParameterError("transmitted intensity is normalised by |a_in|^2; a_in must be nonzero")
     grid = _check_grid(omega_grid)
-    c_out = region_amplitude_sweep(stack, grid, a_in, d_in)[-1][0]
+    ((c_out, _),) = region_amplitude_sweep(stack, grid, a_in, d_in, regions=[-1])
     return Spectrum(grid, np.abs(c_out) ** 2 / abs(complex(a_in)) ** 2)
 
 
@@ -474,10 +474,8 @@ def intensity_comparison(setup: CascadeSetup, omega_grid) -> ComparisonCurves:
     the matched drive eta_l = sqrt(kappa).
     """
     grid = _check_grid(omega_grid)
-    regions = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0)
     gap_regions = setup.stack.gap_region_indices()
-    left = regions[gap_regions[0]]
-    right = regions[gap_regions[2]]
+    left, right = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0, regions=[gap_regions[0], gap_regions[2]])
     scat_left = np.abs(left[0]) ** 2 + np.abs(left[1]) ** 2
     scat_right = np.abs(right[0]) ** 2 + np.abs(right[1]) ** 2
     alpha, beta, _ = _steady_state_arrays(setup.system, grid, eta_from_input(setup.system.kappa, 1.0), 0.0)
@@ -504,7 +502,7 @@ def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid) -> PhaseScan:
     if phis.ndim != 1 or phis.size < 1 or not np.all(np.isfinite(phis)):
         raise InvalidParameterError("phase grid must be a finite 1-d array")
     # column 0 of each (omega, 2) array is u, column 1 is v
-    a_f, b_f = region_amplitude_sweep(stack, grid[:, None], [1, 0], [0, 1])[gaps[1]]
+    ((a_f, b_f),) = region_amplitude_sweep(stack, grid[:, None], [1, 0], [0, 1], regions=[gaps[1]])
     r = np.exp(-1j * phis)
     intensity = np.abs(a_f[:, :1] + r * a_f[:, 1:]) ** 2 + np.abs(b_f[:, :1] + r * b_f[:, 1:]) ** 2
     c0 = np.sum(np.abs(a_f) ** 2 + np.abs(b_f) ** 2, axis=1)

@@ -49,13 +49,13 @@ def product(elements, k, exp=cmath.exp):
     return total
 
 
-def solve(stack, k, a_in, d_in):
+def solve(stack, k, a_in, d_in, exp=cmath.exp):
     """(b_out, c_out, regions): the outgoing amplitudes and every region's (A, B), left to right."""
     elements = stack.elements
     regions = []
     for j in range(len(elements) + 1):
-        (_, l12), (_, l22) = product(elements[:j], k)
-        (_, _), (r21, r22) = product(elements[j:], k)
+        (_, l12), (_, l22) = product(elements[:j], k, exp)
+        (_, _), (r21, r22) = product(elements[j:], k, exp)
         det = l22 * r22 + l12 * r21
         regions.append(((a_in * r22 + l12 * d_in) / det, (l22 * d_in - r21 * a_in) / det))
     return regions[0][1], regions[-1][0], regions

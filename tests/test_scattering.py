@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -323,6 +324,38 @@ class TestEngineEdges:
             region_amplitude_sweep(self.stack, 31.6, 1.0, 0.0)
 
 
+class TestRegionSelection:
+    stack = four_mirror_chain(5.0, 1.0, 5.0)
+    ks = np.linspace(31.3, 31.9, 41)
+    inputs = {
+        "scalar": (31.6, 1.0, 0.3 - 0.4j),
+        "1-d": (ks, 1.0, 0.25j),
+        "k x drive": (ks[:, None], np.array([1.0, 0.0, 0.3 + 0.2j]), np.array([0.0, 1.0, np.exp(0.5j)])),
+    }
+
+    @pytest.mark.parametrize("name", list(inputs))
+    def test_selected_regions_match_the_full_sweep_bitwise(self, name):
+        k, a_in, d_in = self.inputs[name]
+        full = region_amplitude_sweep(self.stack, k, a_in, d_in)
+        n = len(full)
+        for i in range(-n, n):
+            ((right, left),) = region_amplitude_sweep(self.stack, k, a_in, d_in, regions=[i])
+            assert np.array_equal(right, full[i][0]) and np.array_equal(left, full[i][1]), i
+        picked = region_amplitude_sweep(self.stack, k, a_in, d_in, regions=[5, -1, 0, 1, 5])
+        for i, (right, left) in zip([5, -1, 0, 1, 5], picked):
+            assert np.array_equal(right, full[i][0]) and np.array_equal(left, full[i][1]), i
+        assert region_amplitude_sweep(self.stack, k, a_in, d_in, regions=[]) == []
+
+    def test_empty_stack_has_one_region(self):
+        ((right, left),) = region_amplitude_sweep(OpticalStack([]), 2.0, 1.0, 0.5, regions=[-1])
+        assert right == 1.0 and left == 0.5
+
+    @pytest.mark.parametrize("index", [8, -9, 100, 1.0, True, "1", None])
+    def test_rejects_bad_indices(self, index):
+        with pytest.raises(InvalidParameterError, match=f"region index {re.escape(repr(index))} .*8 regions"):
+            region_amplitude_sweep(self.stack, 31.6, 1.0, 0.0, regions=[0, index])
+
+
 class TestTransmissionPoles:
     @pytest.mark.parametrize("zeta", [2.0, 5.0, 20.0, 200.0, 1000.0, 2000.0])
     def test_matches_50_digit_root_of_m22(self, zeta):
@@ -400,6 +433,20 @@ class TestRandomizedInvariants:
             flux_out = abs(b_out[0]) ** 2 + abs(c_out[0]) ** 2
             assert abs(flux_in - flux_out) < 1e-12 * max(flux_in, 1.0)
             assert abs(abs(c_out[1]) ** 2 - abs(b_out[2]) ** 2) < 1e-12
+
+    def test_compose_is_lossless(self):
+        # one column is carried; the other must still be the full product's
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            stack = self._random_stack(rng)
+            ks = rng.uniform(0.5, 30.0, 5)
+            m11, m12, m21, m22 = compose(stack, ks)
+            assert np.array_equal(m11, np.conj(m22)) and np.array_equal(m21, np.conj(m12))
+            for i, k in enumerate(ks):
+                (w11, w12), (w21, w22) = oracle.product(stack.elements, float(k))
+                scale = max(abs(w11), abs(w12))
+                for got, want in ((m11, w11), (m12, w12), (m21, w21), (m22, w22)):
+                    assert abs(got[i] - want) <= 1e-12 * scale
 
     def test_vectorized_sweep_matches_scalar_solve(self):
         rng = np.random.default_rng(11)
