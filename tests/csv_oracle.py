@@ -4,12 +4,16 @@ Every cell goes through ``format_value`` and the whole file is built as one
 string before it is written.  A ``str`` cell holding a comma, a double quote
 or a line break is wrapped in double quotes with inner quotes doubled.  The
 package's writer must produce the same bytes on every input.
+
+Floats are laid out from Python's repr, without orjson: repr's shortest
+round-trip digits, with an exponent of -5 written out in fixed notation
+(``1.234e-05`` -> ``0.00001234``) and any other exponent without ``+`` and
+without a leading zero (``9.06e-07`` -> ``9.06e-7``, ``1e+16`` -> ``1e16``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Sequence
 
@@ -25,16 +29,19 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    mantissa, e, exponent = repr(float(v)).partition("e")
+    if not e:  # fixed notation, nan or inf
+        return mantissa
+    if exponent == "-05":
+        sign, digits = ("-", mantissa[1:]) if mantissa.startswith("-") else ("", mantissa)
+        return sign + "0.0000" + digits.replace(".", "")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def header_lines(version: str, resolved_config: dict) -> list[str]:
     return [
         f"# cascavity {version}",
-        "# float format: shortest round-trip decimal (Python repr)",
+        "# float format: shortest round-trip decimal (orjson layout: 0.00001234, 9.06e-7, 1e16)",
         "# config: " + json.dumps(resolved_config, sort_keys=True, separators=(",", ":")),
     ]
 

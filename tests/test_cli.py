@@ -10,7 +10,15 @@ import pytest
 from click.testing import CliRunner
 
 import cascavity
-from cascavity import build_cascade, g_from_geometry
+from cascavity import (
+    build_cascade,
+    default_omega_window,
+    eta_from_input,
+    g_from_geometry,
+    kappa_from_geometry,
+    sweep_coupled,
+    sweep_scattering,
+)
 from cascavity.cli import main
 from cascavity.config import parse_config
 from cascavity.errors import FitFailureError
@@ -66,6 +74,24 @@ class TestSpectrumCommand:
         first = (tmp_path / "out" / "spectrum.csv").read_bytes()
         runner.invoke(main, ["spectrum", "--config", str(cfg), "--grid-points", "301", "--quiet"])
         assert (tmp_path / "out" / "spectrum.csv").read_bytes() == first
+
+    def test_csv_parses_to_the_computed_arrays(self, tmp_path):
+        """spectrum.csv holds the computed float64s; at zeta = 1000 many lie in 1e-9 <= |x| < 1e-4."""
+        geometry = {"zeta": 1000.0, "cavity_length": 1.0, "fiber_length": 5.0, "cavity_order": 10}
+        cfg = write_config(tmp_path, cascade_config(tmp_path / "out", geometry=geometry))
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--quiet"])
+        assert result.exit_code == 0, result.output
+        got = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=4)
+
+        setup = build_cascade(1000.0, 1.0, 5.0, 10)
+        grid = default_omega_window(setup)
+        eta_l = eta_from_input(kappa_from_geometry(1000.0, 1.0), 1.0)
+        scattering = sweep_scattering(setup.stack, grid, 1.0, 0j).values
+        coupled = sweep_coupled(setup.system, grid, eta_l, 0j).values
+        for values in (scattering, coupled):
+            assert np.count_nonzero((np.abs(values) >= 1e-9) & (np.abs(values) < 1e-4)) > 100
+        want = np.column_stack([grid, scattering, coupled, grid / setup.system.omega_c])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_model_selection_drops_column(self, tmp_path):
         raw = cascade_config(tmp_path / "out", model="scattering")
@@ -377,18 +403,19 @@ class TestMatchCommand:
 class TestStartup:
     def test_delta_runs_without_scipy(self, tmp_path):
         # scipy.optimize was most of the CLI's import time; only lorentzian_fit imports it now.
-        # orjson formats numeric array columns only, and delta.csv has none.
+        # orjson is imported by the first CSV write, not at start-up.
         raw = cascade_config(tmp_path / "out", zeta_grid=[3.0, 5.0, 8.0, 12.0, 20.0])
         cfg = write_config(tmp_path, raw)
         code = (
             "import sys\n"
             "import cascavity.cli, cascavity.runs, cascavity.svgplot\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))\n"
             f"cascavity.cli.main(['delta', '--config', {str(cfg)!r}, '--quiet'], standalone_mode=False)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(cascavity.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "[]"]
         assert (tmp_path / "out" / "delta.csv").exists()

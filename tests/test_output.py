@@ -67,11 +67,11 @@ def neighbours(*values):
     return [v for x in values for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.copysign(np.inf, x)))]
 
 
-# orjson prints a float64 as repr does at zero, in [1e-4, 1e16) and below 1e-9; in between it
-# lays out the same digits differently (0.00001 against 1e-05, 9e-7 against 9e-07, 1e16 against
-# 1e+16), which the block writer edits into repr's layout, and it writes nan and inf as null
+# where a layout changes: orjson writes fixed notation in [1e-5, 1e16), repr (which the oracle
+# starts from) in [1e-4, 1e16), repr's exponent has two digits down to 1e-9, and orjson writes nan
+# and inf as null, which format_floats replaces with repr
 ORJSON_EDGES = neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e-9, -1e-9, 1e16, -1e16)
-ORJSON_IN_RANGE = [v for v in ORJSON_EDGES if 1e-4 <= abs(v) < 1e16] + [0.0, -0.0, 1.0, 0.1, -2.5, 2.0**53]
+FINITE_EDGES = [v for v in ORJSON_EDGES + SPECIAL_FLOATS if np.isfinite(v)]
 
 
 def numeric_columns(n: int, seed: int, edges) -> list:
@@ -91,25 +91,24 @@ def numeric_columns(n: int, seed: int, edges) -> list:
 
 @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_numeric_columns_match_per_cell_writer(tmp_path, monkeypatch, n):
-    subnormals = [5e-324, -5e-324, 2.2250738585072014e-308 / 3]
-    everywhere = numeric_columns(n, n, ORJSON_EDGES + subnormals + SPECIAL_FLOATS)
+    everywhere = numeric_columns(n, n, ORJSON_EDGES + SPECIAL_FLOATS)
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", everywhere)
     assert written(output.write_csv, tmp_path / "block.csv", everywhere) == expected
 
-    in_range = numeric_columns(n, n, ORJSON_IN_RANGE)
-    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", in_range)
+    finite = numeric_columns(n, n, FINITE_EDGES)
+    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", finite)
     monkeypatch.setattr(output, "format_floats", None)  # every block takes the one-dumps path
-    assert written(output.write_csv, tmp_path / "block.csv", in_range) == expected
+    assert written(output.write_csv, tmp_path / "block.csv", finite) == expected
 
 
-# every layout edit, with one-digit mantissas and both signs, mixed in one block
-RELAID = neighbours(1e-5, -1e-5, 1e-9, -1e-9, 1e16, -1e16, 1e100) + [2e-5, -3e-5, 1.5e-5, 1e-6, -7e-9, 1e17, 1.5e100]
+# each exponent layout, with one-digit mantissas and both signs, mixed in one block
+EXPONENTS = neighbours(1e-5, -1e-5, 1e-9, -1e-9, 1e16, -1e16, 1e100) + [2e-5, -3e-5, 1.5e-5, 1e-6, -7e-9, 1e17, 1.5e100]
 
 
 @pytest.mark.parametrize("n", [1, 7, BLOCK + 1])
 def test_finite_blocks_never_call_repr(tmp_path, monkeypatch, n):
-    """Finite numeric blocks are written from orjson's text, also where its layout is not repr's."""
-    columns = numeric_columns(n, n, RELAID + ORJSON_IN_RANGE + [5e-324, -1e-300])
+    """Finite numeric blocks are written from orjson's text alone, in every exponent layout."""
+    columns = numeric_columns(n, n, EXPONENTS + FINITE_EDGES + [-1e-300])
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
 
     def no_repr(value):
@@ -121,7 +120,7 @@ def test_finite_blocks_never_call_repr(tmp_path, monkeypatch, n):
 
 
 def test_nan_sends_only_its_block_to_per_column_formatting(tmp_path, monkeypatch):
-    columns = numeric_columns(3 * BLOCK, 3, ORJSON_IN_RANGE)
+    columns = numeric_columns(3 * BLOCK, 3, FINITE_EDGES)
     columns[0][1][BLOCK + 5] = float("nan")
     calls = []
     format_floats = output.format_floats
@@ -139,6 +138,7 @@ def test_nan_sends_only_its_block_to_per_column_formatting(tmp_path, monkeypatch
 
 
 def test_a_million_floats_match_repr(tmp_path):
+    """Each cell is repr's digits in the oracle's layout, and parses back to the same float64."""
     rng = np.random.default_rng(2018)
     n = 125_000
     signs = rng.choice([-1.0, 1.0], n)
@@ -150,13 +150,60 @@ def test_a_million_floats_match_repr(tmp_path):
             np.round(signs * rng.uniform(0, 1e4, n) * scale) / scale,  # rounded decimals
             signs * 10.0 ** rng.uniform(-5, 17, n),
             neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e16, -1e16, 1e21, -1e21),
+            [0.0, -0.0],
         ]
     )
     values = np.concatenate([kinds, rng.permutation(kinds)])  # blocks of one kind, then mixed blocks
     assert values.size >= 1_000_000
     output.write_csv(tmp_path / "x.csv", [("x", values)], "0", {})
     body = (tmp_path / "x.csv").read_bytes().split(b"\n", 4)[4]
-    assert body == ("\n".join(map(float.__repr__, values.tolist())) + "\n").encode()
+    assert body == ("\n".join(map(csv_oracle.format_value, values.tolist())) + "\n").encode()
+
+    parsed = np.array(list(map(float, body.split())))
+    finite = np.isfinite(values)
+    np.testing.assert_array_equal(parsed[finite].view(np.uint64), values[finite].view(np.uint64))  # -0.0 too
+    np.testing.assert_array_equal(parsed[~finite], values[~finite])  # nan and +-inf
+
+
+# the documented float layout, literally: it depends on orjson's version as well as on its digits
+LAYOUT = [
+    (-0.00010000000000000002, "-0.00010000000000000002"),
+    (-1e-4, "-0.0001"),
+    (-9.999999999999999e-05, "-0.00009999999999999999"),
+    (9.999999999999999e-05, "0.00009999999999999999"),
+    (1e-4, "0.0001"),
+    (0.00010000000000000002, "0.00010000000000000002"),
+    (1e-5, "0.00001"),
+    (-1.234e-5, "-0.00001234"),
+    (9.06e-7, "9.06e-7"),
+    (1e-9, "1e-9"),
+    (5e-10, "5e-10"),
+    (3e15, "3000000000000000.0"),
+    (1e16, "1e16"),
+    (1.5e17, "1.5e17"),
+    (1e300, "1e300"),
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (-float("inf"), "-inf"),
+]
+
+
+def test_float_layout_is_pinned(tmp_path):
+    values = np.array([v for v, _ in LAYOUT])
+    text = [t for _, t in LAYOUT]
+    assert output.format_floats(values) == text
+    assert list(map(output.format_value, values.tolist())) == text  # Python floats, as list columns hold them
+
+    def body(columns):
+        output.write_csv(tmp_path / "x.csv", columns, "0", {})
+        return (tmp_path / "x.csv").read_text().split("\n", 4)[4]
+
+    finite = np.isfinite(values)
+    assert body([("x", values[finite])]) == "".join(t + "\n" for t, f in zip(text, finite) if f)  # one dumps
+    assert body([("x", values), ("list", values.tolist())]) == "".join(f"{t},{t}\n" for t in text)
 
 
 def csv_rows(path):
