@@ -1,6 +1,6 @@
 """Cascaded-cavity simulator: transfer-matrix and coupled-mode models side by side."""
 
-from .coupled import ModeSystem, mode_poles, three_mode_eigenfrequencies, two_mode_eigenfrequencies
+from .coupled import ModeSystem, mode_poles
 from .errors import (
     CascavityError,
     ConfigError,
@@ -25,7 +25,6 @@ from .scattering import (
     Mirror,
     OpticalStack,
     compose,
-    field_profile,
     four_mirror_chain,
     reflectivity,
     region_amplitude_sweep,

@@ -18,9 +18,15 @@ and (alpha, beta, gamma) determine every observable; photon numbers are
 |alpha|^2 etc., and the flux detected behind the right cavity is
 kappa * |beta|^2.  The solver works in the symmetric/antisymmetric basis
 s = alpha + beta, d = alpha - beta, where the equations decouple into a 1x1
-and a 2x2 block; the 2x2 block is nonsingular whenever g > 0, and for g = 0
+and a 2x2 block; the 2x2 block is nonsingular whenever g > 0 in exact
+arithmetic (in floats only when 2*g^2 does not underflow), and for g = 0
 the undriven gamma is set to zero (degenerate only when df = 0 as well,
 which needs no special treatment beyond that convention).
+
+The model's resonances are the complex eigenvalues of its matrix,
+``mode_poles``; the lossless normal-mode frequencies are their real parts
+as kappa goes to 0, and the antisymmetric pole is omega_c - i*kappa
+exactly.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ def _steady_state_arrays(system: ModeSystem, omega, eta_l: complex, eta_r: compl
         gamma = np.zeros_like(s)
     else:
         det2 = denom_d * (1j * df) + 2.0 * system.g**2
+        # reachable: 2*g**2 underflows to 0 for g near 1e-200, and at omega = omega_f det2 is then exactly 0
         bad = np.abs(det2) == 0.0
         if np.any(bad):
             raise SingularSystemError("steady-state system is singular at some drive frequency")
@@ -97,24 +104,3 @@ def mode_poles(system: ModeSystem) -> tuple[complex, complex, complex]:
     root = cmath.sqrt((0.5 * (damped - system.omega_f)) ** 2 + 2.0 * system.g**2)
     lo, mid, hi = sorted((avg - root, damped, avg + root), key=lambda p: p.real)
     return lo, mid, hi
-
-
-def two_mode_eigenfrequencies(omega_c: float, g: float) -> tuple[float, float]:
-    """Normal-mode frequencies of two degenerate modes coupled with strength g."""
-    if g < 0:
-        raise InvalidParameterError(f"g must be nonnegative, got {g!r}")
-    return omega_c - g, omega_c + g
-
-
-def three_mode_eigenfrequencies(sys: ModeSystem) -> tuple[float, float, float]:
-    """Drive-free normal-mode frequencies, sorted ascending.
-
-    The coupling matrix [[wc, 0, g], [0, wc, g], [g, g, wf]] always has the
-    antisymmetric cavity combination (a - b) as an eigenvector at exactly
-    ``omega_c``; the symmetric combination hybridizes with the middle mode.
-    The middle value of the returned triple is omega_c exactly.
-    """
-    avg = 0.5 * (sys.omega_c + sys.omega_f)
-    half = 0.5 * (sys.omega_c - sys.omega_f)
-    r = math.sqrt(half * half + 2.0 * sys.g**2)
-    return avg - r, sys.omega_c, avg + r

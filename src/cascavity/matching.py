@@ -69,7 +69,12 @@ class CascadedMatch:
 def kappa_from_geometry(zeta: float, l_c: float) -> float:
     """Cavity amplitude decay rate (half width of the transmission resonance)."""
     _require_positive(zeta=zeta, l_c=l_c)
-    return 1.0 / (l_c * 2.0 * zeta * math.sqrt(zeta * zeta + 1.0))
+    # zeta*zeta overflows above about 1.3e154, making kappa 0.0; a tiny zeta*l_c makes the width 0.0
+    width = l_c * 2.0 * zeta * math.sqrt(zeta * zeta + 1.0)
+    kappa = 1.0 / width if width else math.inf
+    if not 0.0 < kappa < math.inf:
+        raise InvalidParameterError(f"kappa is {kappa!r} for zeta = {zeta!r} and l_c = {l_c!r} (float range exceeded)")
+    return kappa
 
 
 def resonance_phase(zeta: float) -> float:
@@ -125,12 +130,11 @@ def match_cascaded(
     kappa = kappa_from_geometry(zeta, l_c)
     omega_c = omega_c_from_geometry(zeta, l_c, n_c)
     g = g_from_geometry(zeta, l_c, l_f)
-    phase = resonance_phase(zeta)
     if n_f is None:
-        n_f = max(1, round((omega_c * l_f - phase) / math.pi))
+        n_f = nearest_order(zeta, l_f, omega_c)
     elif not (isinstance(n_f, int) and n_f >= 1):
         raise InvalidParameterError(f"fiber order must be an integer >= 1, got {n_f!r}")
-    omega_f = (n_f * math.pi + phase) / l_f
+    omega_f = omega_c_from_geometry(zeta, l_f, n_f)
     detuning = omega_f - omega_c
     half_fsr = math.pi / (2.0 * l_f)
     return CascadedMatch(
@@ -142,6 +146,6 @@ def match_cascaded(
         fiber_order=int(n_f),
         fiber_detuning=detuning,
         fiber_length=l_f,
-        resonant_fiber_length=(n_f * math.pi + phase) / omega_c,
+        resonant_fiber_length=(n_f * math.pi + resonance_phase(zeta)) / omega_c,
         fiber_order_in_range=abs(detuning) <= half_fsr,
     )

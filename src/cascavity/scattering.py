@@ -21,10 +21,10 @@ Conventions (fixed throughout the package):
 One engine evaluates every stack, over wavenumbers and drives of any
 broadcast shape: ``compose`` gives the stack's matrix entries,
 ``region_amplitude_sweep`` the amplitude pair of the homogeneous regions a
-caller asks for (``regions``, default all) under two-sided drive,
-``field_profile`` the amplitudes at arbitrary positions, and
+caller asks for (``regions``, default all) under two-sided drive, and
 ``transmission_poles`` the complex zeros of m22, which are the stack's
-resonances.
+resonances.  A region's intensity |A|^2 + |B|^2 is the same at every point
+inside it.
 
 The stack is lossless: at real k every factor, and so every product, has the
 form [[conj(m22), m12], [conj(m12), m22]], so the engine carries only the
@@ -56,9 +56,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, PoleSearchError, SingularBoundaryError
 
-# m22 of a lossless stack is 1/t*; |t| > 0 for finite real zeta, so this
-# guard only trips on numerically degenerate input.
-_M22_FLOOR = 1e-300
 # Newton steps per start before the pole search gives up; 3-6 suffice for
 # the cascade's poles from the mode-model eigenvalues at zeta 2 to 2000.
 _NEWTON_MAX_ITER = 50
@@ -97,8 +94,8 @@ StackElement = Union[Mirror, Gap]
 class OpticalStack:
     """Ordered left-to-right sequence of mirrors and gaps.
 
-    Mirrors are zero-thickness, so element positions are cumulative gap
-    lengths.  An empty stack acts as the identity (free space).
+    Mirrors are zero-thickness, so region i + 1 lies right of element i.  An
+    empty stack acts as the identity (free space).
     """
 
     elements: tuple[StackElement, ...]
@@ -114,27 +111,8 @@ class OpticalStack:
         return len(self.elements)
 
     @property
-    def total_length(self) -> float:
-        return sum(e.length for e in self.elements if isinstance(e, Gap))
-
-    @property
     def mirror_count(self) -> int:
         return sum(1 for e in self.elements if isinstance(e, Mirror))
-
-    def boundary_positions(self) -> list[float]:
-        """Positions of the region boundaries, one entry per region.
-
-        Entry i is the left edge of the (possibly zero-width) homogeneous
-        region before element i; the final entry is the right edge of the
-        stack.  Length is ``len(elements) + 1``.
-        """
-        pos = [0.0]
-        x = 0.0
-        for e in self.elements:
-            if isinstance(e, Gap):
-                x += e.length
-            pos.append(x)
-        return pos
 
     def gap_region_indices(self) -> list[int]:
         """Region indices whose amplitudes describe each gap interior, in order."""
@@ -301,10 +279,17 @@ def region_amplitude_sweep(
     shape = np.broadcast_shapes(k.shape, a.shape, d.shape)
     a, d = np.broadcast_to(a, shape), np.broadcast_to(d, shape)
     steps = _steps(stack, k)
-    m12, m22 = _second_column(steps)
-    if np.any(np.abs(m22) < _M22_FLOOR):
-        smallest = float(np.min(np.abs(m22)))
-        raise SingularBoundaryError(f"stack transfer matrix is numerically singular (|m22| = {smallest:.3e})")
+    # |m22|^2 = 1 + |m12|^2 at real k, so m22 never vanishes, but the column overflows for
+    # large zeta (near 1e77 for four mirrors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m12, m22 = _second_column(steps)
+    bad = ~(np.isfinite(m12) & np.isfinite(m22))
+    if bad.any():
+        k_bad = float(np.broadcast_to(k, shape)[np.broadcast_to(bad, shape)][0])
+        zeta = max(abs(e.zeta) for e in stack.elements if isinstance(e, Mirror))
+        raise SingularBoundaryError(
+            f"boundary solve: the transfer matrix overflows at k = {k_bad!r} (largest mirror zeta = {zeta!r})"
+        )
 
     # each region from the nearer end, so that no region is propagated through more than half the stack
     last = count - 1
@@ -319,27 +304,6 @@ def region_amplitude_sweep(
         back = [(-s, None) if q is None else (q, s) for s, q in reversed(steps)]
         found.update((last - j, pair) for j, pair in _walk((a + m12 * d) / m22, d, back, from_right).items())
     return [found[i] for i in wanted]
-
-
-def field_profile(stack: OpticalStack, k, a_in, d_in, positions) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (A(x), B(x)) at arbitrary positions; the intensity is |A|^2 + |B|^2.
-
-    The arrays have the broadcast shape of ``k``, ``a_in`` and ``d_in``
-    followed by one axis over the 1-d ``positions``.  A position on a mirror
-    belongs to the region on the mirror's right; positions outside the stack
-    use the outer-region amplitudes.
-    """
-    x = np.atleast_1d(np.asarray(positions, dtype=float))
-    if x.ndim != 1:
-        raise InvalidParameterError("positions must be a 1-d sequence")
-    regions = region_amplitude_sweep(stack, k, a_in, d_in)
-    refs = np.asarray(stack.boundary_positions())
-    idx = np.maximum(np.searchsorted(refs, x, side="right") - 1, 0)
-    k = np.broadcast_to(np.asarray(k, dtype=float), regions[0][0].shape)[..., None]
-    phase = np.exp(1j * k * (x - refs[idx]))
-    right = np.stack([r for r, _ in regions], axis=-1)[..., idx] * phase
-    left = np.stack([b for _, b in regions], axis=-1)[..., idx] / phase
-    return right, left
 
 
 def _m22_and_derivative(stack: OpticalStack, omega: np.ndarray):

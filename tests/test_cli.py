@@ -419,3 +419,27 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]", "[]"]
         assert (tmp_path / "out" / "delta.csv").exists()
+
+
+class TestExtremeZeta:
+    """Where the stack matrix overflows or kappa underflows, a command exits 3 with a message that names zeta."""
+
+    def run(self, tmp_path, command, zeta, **overrides):
+        raw = cascade_config(tmp_path / "out", **overrides)
+        raw["geometry"]["zeta"] = zeta
+        return CliRunner().invoke(main, [command, "--config", str(write_config(tmp_path, raw))])
+
+    @pytest.mark.parametrize("command", ["spectrum", "profile", "darkmode"])
+    def test_transfer_matrix_overflow(self, tmp_path, command):
+        # the default window collapses at this zeta, so the sweep is explicit
+        sweep = {"parameter": "omega", "min": 31.0, "max": 32.0, "points": 11}
+        result = self.run(tmp_path, command, 1e100, sweep=sweep)
+        assert result.exit_code == 3
+        assert "boundary solve" in result.output and "zeta = 1e+100" in result.output
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["spectrum", "delta", "profile", "darkmode", "match"])
+    def test_kappa_underflow(self, tmp_path, command):
+        result = self.run(tmp_path, command, 1e160, zeta_grid=[1e160])
+        assert result.exit_code == 3
+        assert "zeta = 1e+160 and l_c = 1.0" in result.output

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 import fit_oracle
-from cascavity import (
-    InvalidParameterError,
-    ModeSystem,
-    mode_poles,
-    three_mode_eigenfrequencies,
-    two_mode_eigenfrequencies,
-)
+from cascavity import InvalidParameterError, ModeSystem, SingularSystemError, mode_poles
 from cascavity.coupled import _steady_state_arrays
 
 
@@ -87,6 +81,11 @@ class TestSteadyState:
         with pytest.raises(InvalidParameterError, match="pump"):
             _steady_state_arrays(make_system(), [10.0], *pumps)
 
+    def test_singular_system(self):
+        # 2*g**2 underflows to 0.0, so at omega = omega_c = omega_f the 2x2 block's determinant is exactly 0
+        with pytest.raises(SingularSystemError):
+            _steady_state_arrays(ModeSystem(10.0, 10.0, 1e-200, 0.1), [10.0], 1, 0)
+
 
 class TestPhotocurrent:
     # the detected flux behind the right cavity: kappa * |beta|^2
@@ -113,15 +112,8 @@ class TestPhotocurrent:
 
 
 class TestEigenfrequencies:
-    def test_two_mode_degenerate(self):
-        assert two_mode_eigenfrequencies(3.0, 0.0) == (3.0, 3.0)
-
-    def test_two_mode_splitting(self):
-        lo, hi = two_mode_eigenfrequencies(1.0, 0.1)
-        assert (lo, hi) == (0.9, 1.1)
-
     def test_two_mode_matches_scattering_splitting(self):
-        # oracle: brute-force peak pair of the three-mirror transmission
+        # oracle: brute-force peak pair of the three-mirror transmission, split by 2g
         from cascavity import sweep_scattering, three_mirror_chain
         from cascavity.spectra import find_peaks
 
@@ -133,39 +125,14 @@ class TestEigenfrequencies:
         found = find_peaks(spec)
         assert len(found) == 2
         lo_fit, hi_fit = fit_oracle.fit_peaks(spec, found)
-        lo, hi = two_mode_eigenfrequencies(omega_c, g)
-        assert (hi_fit.center - lo_fit.center) == pytest.approx(hi - lo, rel=0.01)
-
-    def test_three_mode_uncoupled_is_sorted_bare_triple(self):
-        sys = make_system(g=0.0, omega_c=2.0, omega_f=1.0)
-        assert three_mode_eigenfrequencies(sys) == (1.0, 2.0, 2.0)
-
-    def test_three_mode_degenerate_splitting(self):
-        sys = make_system(omega_c=1.0, omega_f=1.0, g=0.1)
-        lo, mid, hi = three_mode_eigenfrequencies(sys)
-        root2 = math.sqrt(2)
-        assert lo == pytest.approx(1 - 0.1 * root2, rel=1e-14)
-        assert mid == 1.0
-        assert hi == pytest.approx(1 + 0.1 * root2, rel=1e-14)
-
-    def test_three_mode_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            wc = float(rng.uniform(0.5, 20.0))
-            wf = float(rng.uniform(0.5, 20.0))
-            g = float(rng.uniform(0.0, 2.0))
-            sys = make_system(omega_c=wc, omega_f=wf, g=g)
-            ours = three_mode_eigenfrequencies(sys)
-            dense = np.linalg.eigvalsh(np.array([[wc, 0, g], [0, wc, g], [g, g, wf]]))
-            assert np.allclose(ours, dense, rtol=1e-10, atol=1e-10)
-            assert ours[1] == wc  # antisymmetric cavity mode, exactly
+        assert (hi_fit.center - lo_fit.center) == pytest.approx(2 * g, rel=0.01)
 
     def test_eigenfrequencies_predict_photocurrent_peaks(self):
-        # good-cavity regime: fitted peak centers sit at the normal-mode frequencies
+        # good-cavity regime: fitted peak centers sit at the real parts of the poles
         from cascavity import find_peaks, sweep_coupled
 
         sys = make_system(g=0.2, kappa=0.004)
-        lo, mid, hi = three_mode_eigenfrequencies(sys)
+        lo, mid, hi = (p.real for p in mode_poles(sys))
         grid = np.linspace(lo - 0.1, hi + 0.1, 6001)
         spec = sweep_coupled(sys, grid, 0.06)
         fitted = fit_oracle.fit_peaks(spec, find_peaks(spec))
@@ -198,4 +165,5 @@ class TestModePoles:
     def test_lossless_limit_is_the_eigenfrequencies(self):
         system = make_system(omega_c=10.0, omega_f=9.7, g=0.2, kappa=1e-12)
         poles = mode_poles(system)
-        assert [p.real for p in poles] == pytest.approx(three_mode_eigenfrequencies(system), rel=1e-12)
+        lossless = np.linalg.eigvalsh(np.array([[10.0, 0, 0.2], [0, 10.0, 0.2], [0.2, 0.2, 9.7]]))
+        assert [p.real for p in poles] == pytest.approx(lossless, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ class TestKappa:
             kappa_from_geometry(-2.0, 1.0)
         with pytest.raises(InvalidParameterError):
             kappa_from_geometry(5.0, 0.0)
+
+    @pytest.mark.parametrize("zeta, l_c", [(1e160, 1.0), (1e-200, 1e-200), (1e-160, 1e-160)])
+    def test_outside_the_float_range_names_zeta(self, zeta, l_c):
+        # kappa would be 0.0 (zeta*zeta overflows), a zero division, or inf
+        with pytest.raises(InvalidParameterError, match=re.escape(f"zeta = {zeta!r} and l_c = {l_c!r}")):
+            kappa_from_geometry(zeta, l_c)
 
 
 class TestOmegaC:
@@ -203,13 +210,13 @@ class TestMatchCascaded:
         assert not match.fiber_order_in_range
 
     def test_side_splitting_matches_eigenfrequency_oracle(self):
-        from cascavity import ModeSystem, three_mode_eigenfrequencies
+        from cascavity import ModeSystem, mode_poles
 
         match = match_cascaded(5.0, 1.0, 5.0, 10)
-        sys = ModeSystem(match.omega_c, match.omega_c, match.g, match.kappa)
-        lo, mid, hi = three_mode_eigenfrequencies(sys)
-        assert (hi - lo) == pytest.approx(2 * math.sqrt(2) * match.g, rel=1e-12)
-        assert mid == match.omega_c
+        poles = mode_poles(ModeSystem(match.omega_c, match.omega_c, match.g, match.kappa))
+        assert complex(match.omega_c, -match.kappa) in poles
+        split = 2 * math.sqrt(2 * match.g**2 - match.kappa**2 / 4)
+        assert (poles[2] - poles[0]).real == pytest.approx(split, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(InvalidParameterError):
