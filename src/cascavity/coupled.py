@@ -81,7 +81,10 @@ def _steady_state_arrays(system: ModeSystem, omega, eta_l: complex, eta_r: compl
         # reachable: 2*g**2 underflows to 0 for g near 1e-200, and at omega = omega_f det2 is then exactly 0
         bad = np.abs(det2) == 0.0
         if np.any(bad):
-            raise SingularSystemError("steady-state system is singular at some drive frequency")
+            raise SingularSystemError(
+                f"steady-state system is singular at omega = {float(omega[bad][0])!r}:"
+                f" 2*g**2 underflows to {2.0 * system.g**2!r} for g = {system.g!r}"
+            )
         s = drive_sum * (1j * df) / det2
         gamma = -1j * system.g * drive_sum / det2
     alpha = 0.5 * (s + d)

@@ -14,10 +14,13 @@ return is quoted the way the ``csv`` module's minimal quoting does it.
 ``write_csv`` writes blocks of ``_BLOCK_ROWS`` rows, one after another, and
 holds only the block it is formatting.  A block whose columns are all real
 numeric arrays (int and bool too, written as floats) and whose cells are all
-finite is written from one ``orjson.dumps`` of its float64 matrix.  Every
-other block is formatted column by column and joined per row: a numeric
-array column by one ``orjson.dumps`` too, any other column (lists, tuples,
-object arrays) by ``format_value`` per cell.
+finite is written from one ``orjson.dumps`` of its float64 cells, flattened
+row by row: the text ``[a,b,c,d]`` is copied once into a ``bytearray``, and
+every ncol-th comma and the closing bracket are set to a newline in place,
+which gives ``a,b\\nc,d\\n`` after the opening bracket.  Every other block is
+formatted column by column and joined per row: a numeric array column by one
+``orjson.dumps`` too, any other column (lists, tuples, object arrays) by
+``format_value`` per cell.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-# At 8192 rows the 400,001-row sweep's peak RSS read 1-4 MB higher than at 4096, for
-# about 4% less time (one benchmark run on each of 5 seeds, 2-vCPU x86-64 VM, glibc).
+# With the flat dump, 8192 rows against 4096 read op_s.p50 0.403 against 0.411 s on the
+# 400,001-row sweep (median of 5 seeds, within the 0.046 s quartile spread) and peak RSS
+# 4 MB higher on one seed of the 5 (one benchmark run per seed, 2-vCPU x86-64 VM, glibc).
 _BLOCK_ROWS = 4096
 _QUOTED_CHARS = (",", '"', "\n", "\r")
 
@@ -91,13 +95,19 @@ def _format_block(block) -> list[str]:
     return list(map(_quote, cells)) if any(c in joined for c in _QUOTED_CHARS) else cells
 
 
-def _block_bytes(cells, start: int) -> bytes:
+def _block_bytes(cells, start: int) -> bytes | memoryview:
     blocks = [c[start : start + _BLOCK_ROWS] for c in cells]
     if all(map(_is_numeric_array, blocks)):
         x = np.column_stack([b.astype(float, copy=False) for b in blocks])
         if np.isfinite(x).all():
-            # "[[a,b],[c,d]]" -> "a,b\nc,d\n"
-            return _dumps(x)[2:-2].replace(b"],[", b"\n") + b"\n"
+            # "[a,b,c,d]" -> "a,b\nc,d\n": every ncol-th comma and the closing bracket end a row;
+            # a finite number's text holds no comma, so every comma separates two cells
+            text = bytearray(_dumps(x.ravel()))
+            buf = np.frombuffer(text, np.uint8)
+            ncol = x.shape[1]
+            buf[np.flatnonzero(buf == ord(","))[ncol - 1 :: ncol]] = ord("\n")
+            buf[-1] = ord("\n")
+            return memoryview(text)[1:]
     rows = zip(*map(_format_block, blocks))
     return ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
 

@@ -48,6 +48,7 @@ caller asks for are built; the last needs neither b_out nor any propagation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -324,22 +325,31 @@ def _m22_and_derivative(stack: OpticalStack, omega: np.ndarray):
     return col[1], dcol[1]
 
 
+# as in the boundary solve, the column overflows for large zeta: the finite check in the Newton loop names it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def transmission_poles(stack: OpticalStack, starts) -> np.ndarray:
     """The complex zeros of m22(omega), the stack's transmission poles, by Newton's method.
 
     Entry i is the pole reached from ``starts[i]``: its real part is the
     resonance frequency and minus its imaginary part the half width.  Each
     start iterates until |step| <= 1e-15 * |omega|.  Raises PoleSearchError
-    when a start has not converged within ``_NEWTON_MAX_ITER`` steps or when
-    two starts reach the same pole; the message holds no comma, so it fits
-    a CSV cell.
+    when m22 or its derivative overflows, when a start has not converged
+    within ``_NEWTON_MAX_ITER`` steps or when two starts reach the same pole;
+    the message holds no comma, so it fits a CSV cell.
     """
     omega = np.array(starts, dtype=complex)
     if omega.ndim != 1 or not np.all(np.isfinite(omega)):
         raise InvalidParameterError("pole search starts must be a finite 1-d sequence")
     active = np.ones(omega.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX_ITER):
+    for n in range(1, _NEWTON_MAX_ITER + 1):
         m22, dm22 = _m22_and_derivative(stack, omega[active])
+        # one entry per start: cmath on the Python values is cheaper than np.isfinite here
+        if not all(map(cmath.isfinite, m22.tolist() + dm22.tolist())):
+            i = int(np.flatnonzero(active)[np.argmin(np.isfinite(m22) & np.isfinite(dm22))])
+            raise PoleSearchError(
+                f"pole search (Newton on m22): m22 or dm22/domega overflows at step {n} from start {i}"
+                f" at {complex(starts[i]):.15g}; iterate {omega[i]:.15g}"
+            )
         step = m22 / dm22
         omega[active] -= step
         # written as not-converged so that a NaN step stays active and fails

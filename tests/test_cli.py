@@ -422,7 +422,10 @@ class TestStartup:
 
 
 class TestExtremeZeta:
-    """Where the stack matrix overflows or kappa underflows, a command exits 3 with a message that names zeta."""
+    """Where the stack matrix overflows or kappa underflows, a command exits 3 with a message that names zeta.
+
+    delta's pole search is the exception: it reports its overflow in the row's error cell, which names zeta too.
+    """
 
     def run(self, tmp_path, command, zeta, **overrides):
         raw = cascade_config(tmp_path / "out", **overrides)
@@ -443,3 +446,14 @@ class TestExtremeZeta:
         result = self.run(tmp_path, command, 1e160, zeta_grid=[1e160])
         assert result.exit_code == 3
         assert "zeta = 1e+160 and l_c = 1.0" in result.output
+
+    def test_pole_search_overflow(self, tmp_path):
+        # kappa is still representable here, but the stack's m22 overflows: the row's error names zeta and the overflow
+        cfg = write_config(tmp_path, cascade_config(tmp_path / "out", zeta_grid=[1e100]))
+        env = {**os.environ, "PYTHONPATH": str(Path(cascavity.__file__).resolve().parents[1])}
+        command = [sys.executable, "-m", "cascavity.cli", "delta", "--config", str(cfg), "--quiet"]
+        done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
+        error = rows[0][header.index("error")]
+        assert error.startswith("zeta=1e+100: ") and "overflows" in error

@@ -83,7 +83,7 @@ class TestSteadyState:
 
     def test_singular_system(self):
         # 2*g**2 underflows to 0.0, so at omega = omega_c = omega_f the 2x2 block's determinant is exactly 0
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError, match=r"omega = 10\.0: 2\*g\*\*2 underflows to 0\.0 for g = 1e-200"):
             _steady_state_arrays(ModeSystem(10.0, 10.0, 1e-200, 0.1), [10.0], 1, 0)
 
 

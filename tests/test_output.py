@@ -95,10 +95,13 @@ def test_numeric_columns_match_per_cell_writer(tmp_path, monkeypatch, n):
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", everywhere)
     assert written(output.write_csv, tmp_path / "block.csv", everywhere) == expected
 
-    finite = numeric_columns(n, n, FINITE_EDGES)
-    expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", finite)
     monkeypatch.setattr(output, "format_floats", None)  # every block takes the one-dumps path
-    assert written(output.write_csv, tmp_path / "block.csv", finite) == expected
+    finite = numeric_columns(n, n, FINITE_EDGES)
+    # the one-dumps path ends a row at every ncol-th comma: a wrong stride shows at one width or another
+    for ncol in range(1, 8):
+        columns = [(f"{name}{i}", values) for i, (name, values) in enumerate((finite * 2)[:ncol])]
+        expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
+        assert written(output.write_csv, tmp_path / "block.csv", columns) == expected, ncol
 
 
 # each exponent layout, with one-digit mantissas and both signs, mixed in one block
