@@ -29,10 +29,8 @@ from .spectra import (
 DARKMODE_DEFAULT_POINTS = 401
 
 
-def _svg_meta(config: ExperimentConfig) -> str:
-    return f"cascavity {__version__} config " + json.dumps(
-        config.resolved(), sort_keys=True, separators=(",", ":")
-    )
+def _svg_meta(resolved: dict) -> str:
+    return f"cascavity {__version__} config " + json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
 
 def _resolve_drive(drive: DriveConfig, kappa: float):
@@ -62,12 +60,14 @@ def _cascade(config: ExperimentConfig, command: str):
 
 
 def _omega_grid(config: ExperimentConfig, setup, grid_points: int | None, default_points: int):
+    """The grid to sample, and the resolved configuration with it as ``sweep`` (which linspace reproduces exactly)."""
     if config.sweep is not None:
-        points = grid_points or config.sweep.points
-        if points < 2:
-            raise ConfigError(f"sweep needs at least 2 points, got {points}")
-        return np.linspace(config.sweep.lo, config.sweep.hi, points)
-    return default_omega_window(setup, grid_points or default_points)
+        grid = np.linspace(config.sweep.lo, config.sweep.hi, grid_points or config.sweep.points)
+    else:
+        grid = default_omega_window(setup, grid_points or default_points)
+    resolved = config.resolved()
+    resolved["sweep"] = {"parameter": "omega", "min": float(grid[0]), "max": float(grid[-1]), "points": grid.size}
+    return grid, resolved
 
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
@@ -85,7 +85,7 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     else:
         setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
         pumps = (0.0, eta_l)  # the single cavity is the measured mode b
-    grid = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
+    grid, resolved = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
 
     columns = [("omega", grid)]
     series = []
@@ -99,7 +99,7 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
         series.append(("coupled", coup.values))
     columns.append(("omega_over_omega_c", grid / setup.system.omega_c))
 
-    paths = [write_csv(out_dir / "spectrum.csv", columns, __version__, config.resolved())]
+    paths = [write_csv(out_dir / "spectrum.csv", columns, __version__, resolved)]
     if svg:
         from .svgplot import line_plot
 
@@ -112,7 +112,7 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
                 ylabel="transmitted photocurrent",
                 title="transmission spectrum",
                 logy=True,
-                meta=_svg_meta(config),
+                meta=_svg_meta(resolved),
             )
         )
     return paths
@@ -167,7 +167,7 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
                 ylabel="peak-distance difference (c/L)",
                 title="model disagreement vs mirror polarizability",
                 logy=True,
-                meta=_svg_meta(config),
+                meta=_svg_meta(config.resolved()),
             )
         )
     return paths
@@ -176,7 +176,8 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
 def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Intracavity intensity curves for both models -> profile.csv [profile.svg]."""
     setup = _cascade(config, "profile")
-    curves = intensity_comparison(setup, _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS))
+    grid, resolved = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
+    curves = intensity_comparison(setup, grid)
     omega_c = setup.system.omega_c
     columns = [
         ("omega", curves.omega),
@@ -186,7 +187,7 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
         ("coupled_right", curves.coupled_right),
         ("omega_over_omega_c", curves.omega / omega_c),
     ]
-    paths = [write_csv(out_dir / "profile.csv", columns, __version__, config.resolved())]
+    paths = [write_csv(out_dir / "profile.csv", columns, __version__, resolved)]
     if svg:
         from .svgplot import line_plot
 
@@ -204,7 +205,7 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
                 ylabel="intracavity intensity",
                 title="intracavity intensities, left-side drive",
                 logy=True,
-                meta=_svg_meta(config),
+                meta=_svg_meta(resolved),
             )
         )
     return paths
@@ -214,7 +215,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     """Fiber intensity vs (omega, phi) -> darkmode.csv, darkmode_fit.csv [darkmode.svg]."""
     setup = _cascade(config, "darkmode")
     phase = config.phase_grid
-    omega = _omega_grid(config, setup, grid_points, DARKMODE_DEFAULT_POINTS)
+    omega, resolved = _omega_grid(config, setup, grid_points, DARKMODE_DEFAULT_POINTS)
     phis = np.linspace(phase.lo, phase.hi, phase.points)
     scan = dark_mode_scan(setup.stack, omega, phis)
 
@@ -230,7 +231,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
                 ("omega_over_omega_c", np.repeat(scan.omega_grid / omega_c, n_phi)),
             ],
             __version__,
-            config.resolved(),
+            resolved,
         )
     ]
     closed_form = scan.c0[:, None] + scan.c1[:, None] * np.cos(scan.phi_grid - scan.phi0[:, None])
@@ -247,7 +248,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
                 ("omega_over_omega_c", scan.omega_grid / omega_c),
             ],
             __version__,
-            config.resolved(),
+            resolved,
         )
     )
     if svg:
@@ -263,7 +264,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
                 ylabel="phi (rad)",
                 title="fiber intensity (log scale)",
                 logz=True,
-                meta=_svg_meta(config),
+                meta=_svg_meta(resolved),
             )
         )
     return paths

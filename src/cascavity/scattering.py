@@ -23,8 +23,9 @@ broadcast shape: ``compose`` gives the stack's matrix entries,
 ``region_amplitude_sweep`` the amplitude pair of the homogeneous regions a
 caller asks for (``regions``, default all) under two-sided drive, and
 ``transmission_poles`` the complex zeros of m22, which are the stack's
-resonances.  A region's intensity |A|^2 + |B|^2 is the same at every point
-inside it.
+resonances, by Newton's method with each start iterated on its own as one
+complex number.  A region's intensity |A|^2 + |B|^2 is the same at every
+point inside it.
 
 The stack is lossless: at real k every factor, and so every product, has the
 form [[conj(m22), m12], [conj(m12), m22]], so the engine carries only the
@@ -307,15 +308,14 @@ def region_amplitude_sweep(
     return [found[i] for i in wanted]
 
 
-def _m22_and_derivative(stack: OpticalStack, omega: np.ndarray):
-    """m22 and dm22/domega at complex ``omega``, from one forward-mode pass over the steps.
+def _m22_and_derivative(stack: OpticalStack, omega: complex) -> tuple[complex, complex]:
+    """m22 and dm22/domega at one complex ``omega``, from one forward-mode pass over the steps.
 
     The second column (m12, m22) and its derivative are carried together.
     Mirrors do not depend on omega; a gap maps (x, y) to (p*x, y/p) with
     p = e^{i*omega*l}, whose derivative adds (i*l*p*x, -i*l*y/p).
     """
-    col = (np.zeros_like(omega), np.ones_like(omega))
-    dcol = (np.zeros_like(omega), np.zeros_like(omega))
+    col, dcol = (0j, 1.0 + 0j), (0j, 0j)
     for e, step in zip(stack.elements, _steps(stack, omega)):
         dcol = _step(step, *dcol)
         col = _step(step, *col)
@@ -332,40 +332,44 @@ def transmission_poles(stack: OpticalStack, starts) -> np.ndarray:
 
     Entry i is the pole reached from ``starts[i]``: its real part is the
     resonance frequency and minus its imaginary part the half width.  Each
-    start iterates until |step| <= 1e-15 * |omega|.  Raises PoleSearchError
-    when m22 or its derivative overflows, when a start has not converged
-    within ``_NEWTON_MAX_ITER`` steps or when two starts reach the same pole;
-    the message holds no comma, so it fits a CSV cell.
+    start iterates on its own until |step| <= 1e-15 * |omega|.  Raises
+    PoleSearchError when m22 or its derivative overflows, when a start has
+    not converged within ``_NEWTON_MAX_ITER`` steps or when two starts reach
+    the same pole; the message holds no comma, so it fits a CSV cell.
     """
-    omega = np.array(starts, dtype=complex)
-    if omega.ndim != 1 or not np.all(np.isfinite(omega)):
+    starts = np.array(starts, dtype=complex)
+    if starts.ndim != 1 or not np.all(np.isfinite(starts)):
         raise InvalidParameterError("pole search starts must be a finite 1-d sequence")
-    active = np.ones(omega.shape, dtype=bool)
-    for n in range(1, _NEWTON_MAX_ITER + 1):
-        m22, dm22 = _m22_and_derivative(stack, omega[active])
-        # one entry per start: cmath on the Python values is cheaper than np.isfinite here
-        if not all(map(cmath.isfinite, m22.tolist() + dm22.tolist())):
-            i = int(np.flatnonzero(active)[np.argmin(np.isfinite(m22) & np.isfinite(dm22))])
+    if not any(isinstance(e, Gap) for e in stack.elements):
+        raise InvalidParameterError("pole search needs a stack with a gap: without one m22 does not depend on omega")
+    poles = np.empty_like(starts)
+    for i, start in enumerate(starts.tolist()):
+        omega = start
+        for n in range(1, _NEWTON_MAX_ITER + 1):
+            m22, dm22 = _m22_and_derivative(stack, omega)
+            if not (cmath.isfinite(m22) and cmath.isfinite(dm22)):
+                raise PoleSearchError(
+                    f"pole search (Newton on m22): m22 or dm22/domega overflows at step {n} from start {i}"
+                    f" at {start:.15g}; iterate {omega:.15g}"
+                )
+            step = m22 / dm22
+            omega -= step
+            if abs(step) <= _NEWTON_RTOL * abs(omega):
+                break
+        else:
             raise PoleSearchError(
-                f"pole search (Newton on m22): m22 or dm22/domega overflows at step {n} from start {i}"
-                f" at {complex(starts[i]):.15g}; iterate {omega[i]:.15g}"
+                f"pole search (Newton on m22): start {i} at {start:.15g} did not converge"
+                f" within {_NEWTON_MAX_ITER} steps; last iterate {omega:.15g}"
             )
-        step = m22 / dm22
-        omega[active] -= step
-        # written as not-converged so that a NaN step stays active and fails
-        active[active] = ~(np.abs(step) <= _NEWTON_RTOL * np.abs(omega[active]))
-        if not active.any():
-            break
-    else:
-        i = int(np.flatnonzero(active)[0])
-        raise PoleSearchError(
-            f"pole search (Newton on m22): start {i} at {complex(starts[i]):.15g} did not converge"
-            f" within {_NEWTON_MAX_ITER} steps; last iterate {omega[i]:.15g}"
-        )
-    same = np.abs(omega[:, None] - omega[None, :]) <= _SAME_POLE_RTOL * np.abs(omega)
-    i, j = np.nonzero(np.triu(same, 1))
+        poles[i] = omega
+    tolerance = _SAME_POLE_RTOL * np.abs(poles)
+    distance = np.abs(poles[:, None] - poles[None, :])
+    i, j = np.nonzero(np.triu(distance <= tolerance, 1))
     if i.size:
+        i, j = i[0], j[0]
         raise PoleSearchError(
-            f"pole search (distinct-pole check): starts {i[0]} and {j[0]} reached the same pole {omega[i[0]]:.15g}"
+            f"pole search (distinct-pole check): starts {i} and {j} reached the same pole {poles[i]:.15g}:"
+            f" they end {distance[i, j]:.3g} apart: below the tolerance {tolerance[j]:.3g}"
+            f" ({_SAME_POLE_RTOL:g} |omega|) within which two poles count as one"
         )
-    return omega
+    return poles

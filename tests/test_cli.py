@@ -400,6 +400,32 @@ class TestMatchCommand:
         assert field == {"kind": "field", "a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}
 
 
+class TestGridProvenance:
+    """The header records the grid a run sampled, so its config reproduces the data without the flag."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "profile", "darkmode"])
+    def test_header_config_reproduces_the_rows(self, tmp_path, command):
+        raw = cascade_config(tmp_path / "flag", phase_grid={"min": -1.0, "max": 1.0, "points": 5})
+        cfg = write_config(tmp_path, raw)
+        result = CliRunner().invoke(main, [command, "--config", str(cfg), "--grid-points", "11", "--svg"])
+        assert result.exit_code == 0, result.output
+        comments, _, _ = read_csv(tmp_path / "flag" / f"{command}.csv")
+        (text,) = [c[len("# config: "):] for c in comments if c.startswith("# config: ")]
+        assert f"config {text} -->" in (tmp_path / "flag" / f"{command}.svg").read_text()
+        resolved = json.loads(text)
+        assert resolved["sweep"]["points"] == 11
+        # back to input form: the resolved drive names its kind and geometry lists unset keys as null
+        resolved["drive"].pop("kind")
+        resolved["geometry"] = {k: v for k, v in resolved["geometry"].items() if v is not None}
+        resolved["output"]["directory"] = str(tmp_path / "header")
+        result = CliRunner().invoke(main, [command, "--config", str(write_config(tmp_path, resolved, "header.json"))])
+        assert result.exit_code == 0, result.output
+        for path in (tmp_path / "flag").glob("*.csv"):
+            rows = [ln for ln in path.read_bytes().splitlines(True) if not ln.startswith(b"#")]
+            again = (tmp_path / "header" / path.name).read_bytes().splitlines(True)
+            assert [ln for ln in again if not ln.startswith(b"#")] == rows
+
+
 class TestStartup:
     def test_delta_runs_without_scipy(self, tmp_path):
         # scipy.optimize was most of the CLI's import time; only lorentzian_fit imports it now.
@@ -457,3 +483,15 @@ class TestExtremeZeta:
         _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
         error = rows[0][header.index("error")]
         assert error.startswith("zeta=1e+100: ") and "overflows" in error
+
+    def test_unresolvable_splitting_names_the_tolerance(self, tmp_path):
+        # the side splitting sqrt(2)*g = 3.2e-12 is below the 1e-12 * |omega| at which two poles count as one
+        result = self.run(tmp_path, "delta", 5.0, zeta_grid=[1e11])
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
+        error = rows[0][header.index("error")]
+        omega_c = build_cascade(1e11, 1.0, 5.0, 10).system.omega_c
+        # the cell names zeta as the zeta column writes it (repr(1e11) is "100000000000.0")
+        assert error.startswith(f"zeta={1e11!r}: ") and rows[0][header.index("zeta")] == repr(1e11)
+        assert "same pole" in error
+        assert f"below the tolerance {1e-12 * omega_c:.3g}" in error

@@ -331,7 +331,9 @@ def test_darkmode_rows_are_omega_major(tmp_path):
         ("fiber_intensity", dark_mode_scan(setup.stack, omega, phis).intensity.reshape(-1)),
         ("omega_over_omega_c", omega_col / setup.match.omega_c),
     ]
-    csv_oracle.write_csv(tmp_path / "oracle.csv", columns, __version__, config.resolved())
+    # the header records the sampled grid as the sweep
+    sweep = {"parameter": "omega", "min": omega[0], "max": omega[-1], "points": omega.size}
+    csv_oracle.write_csv(tmp_path / "oracle.csv", columns, __version__, {**config.resolved(), "sweep": sweep})
     assert (tmp_path / "darkmode.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 

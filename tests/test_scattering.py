@@ -387,6 +387,12 @@ class TestTransmissionPoles:
         with pytest.raises(PoleSearchError, match="same pole"):
             transmission_poles(setup.stack, [lo, mid, mid])
 
+    def test_rejects_a_stack_without_gaps(self):
+        # m22 does not depend on omega, so Newton has no step to take
+        for stack in (OpticalStack([]), OpticalStack([Mirror(2.0), Mirror(3.0)])):
+            with pytest.raises(InvalidParameterError, match="gap"):
+                transmission_poles(stack, [31.5 - 0.1j])
+
     def test_rejects_bad_starts(self):
         stack = symmetric_cavity(5.0)
         for starts in ([complex(math.nan, 0.0)], [[31.5]], [math.inf]):
