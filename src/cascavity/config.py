@@ -22,16 +22,27 @@ Schema (version 1); unknown keys anywhere are rejected by name:
       "output": {"directory": "out", "svg": false}
     }
 
-All sections except ``geometry`` are optional and default as above; ``sweep``
-defaults to the standard window around the matched resonance.
+All sections except ``geometry`` are optional; ``sweep`` defaults to the
+standard window around the matched resonance.
+
+The dataclasses below are the schema.  Each key is declared once, as a field
+that carries its default (none when required) and the check that parses its
+JSON value (``_key``); ``_section`` parses every section from these fields,
+and ``parse_config`` then checks the rules that tie keys together.
+``ExperimentConfig.resolved()`` walks the same fields back into JSON form,
+leaving out unset keys, so the config in every output header is itself a
+valid input that reproduces the run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import ConfigError
 
@@ -39,279 +50,201 @@ SCHEMA_VERSION = 1
 
 MODELS = ("scattering", "coupled", "both")
 ALIGNMENTS = ("resonant", "nominal")
-# The keys of each drive kind; a config and its resolved form carry one kind's keys only.
-DRIVE_KEYS = {"field": ("a_in", "d_in", "d_phase"), "pump": ("eta_l", "eta_r", "phi")}
 
 
-def _require_keys(section: dict, allowed: set[str], where: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {where}.{key!r}" if where else f"unknown key {key!r}")
+def _float(v, name) -> float:
+    # json reads integers of any size, and float() of one beyond the float64 range raises OverflowError
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{name} must fit in a float64, got an integer above {sys.float_info.max:.4g}") from None
 
 
-def _number(section: dict, key: str, where: str, *, default=None, minimum=None, exclusive=False):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {v!r}")
-    if minimum is not None and (v <= minimum if exclusive else v < minimum):
-        op = ">" if exclusive else ">="
-        raise ConfigError(f"{where}.{key} must be {op} {minimum}, got {v!r}")
-    return float(v)
+def _number(v, name, minimum=None, exclusive=False) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(x := _float(v, name)):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    if minimum is not None and (x <= minimum if exclusive else x < minimum):
+        raise ConfigError(f"{name} must be {'>' if exclusive else '>='} {minimum}, got {v!r}")
+    return x
 
 
-def _integer(section: dict, key: str, where: str, *, default=None, minimum=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    v = section[key]
+def _integer(v, name, minimum) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {v!r}")
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    _float(v, name)  # every integer key ends up in float arithmetic
+    if v < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {v!r}")
     return v
+
+
+def _flag(v, name) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{name} must be a boolean, got {v!r}")
+    return v
+
+
+def _text(v, name) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{name} must be a nonempty string, got {v!r}")
+    return v
+
+
+def _numbers(v, name) -> tuple[float, ...]:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{name} must be a nonempty array of numbers")
+    return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(v))
+
+
+def _version(v, name) -> int:
+    if v != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported {name} {v!r} (expected {SCHEMA_VERSION})")
+    return SCHEMA_VERSION
+
+
+_positive = partial(_number, minimum=0.0, exclusive=True)
+_nonnegative = partial(_number, minimum=0.0)
+_order = partial(_integer, minimum=1)
+_points = partial(_integer, minimum=2)
+
+
+def _key(check, default=MISSING):
+    """A schema key: its default (none: the key is required) and the check that parses its JSON value."""
+    return field(default=default, metadata={"check": check})
+
+
+def _section(cls, raw, where: str):
+    """Parse one section into ``cls``: unknown keys are rejected, absent keys take the field defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'configuration root'} must be an object")
+    keys = fields(cls)
+    names = {f.name for f in keys}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"unknown key {where}.{key!r}" if where else f"unknown key {key!r}")
+    values = {}
+    for f in keys:
+        name = f"{where}.{f.name}" if where else f.name
+        if f.name in raw:
+            check = f.metadata.get("check")
+            values[f.name] = check(raw[f.name], name) if check else raw[f.name]
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key {name}" if where else f"missing required key {name!r}")
+    return cls(**values)
+
+
+def _plain(value):
+    """The JSON form of a config value; a dataclass leaves out its fields that are None or empty."""
+    if is_dataclass(value):
+        items = ((f.name, _plain(getattr(value, f.name))) for f in fields(value))
+        return {k: v for k, v in items if v is not None and v != []}
+    return list(value) if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    zeta: float
-    cavity_length: float
-    cavity_order: int
-    fiber_length: float | None = None
-    fiber_order: int | None = None
-    single_cavity: bool = False
+    zeta: float = _key(_positive)
+    cavity_length: float = _key(_positive)
+    cavity_order: int = _key(_order)
+    fiber_length: float | None = _key(_positive, None)
+    fiber_order: int | None = _key(_order, None)
+    single_cavity: bool = _key(_flag, False)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    parameter: str
-    lo: float
-    hi: float
-    points: int
+    min: float = _key(_number)
+    max: float = _key(_number)
+    points: int = _key(_points)
+    parameter: str = "omega"
 
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    lo: float = -math.pi
-    hi: float = math.pi
-    points: int = 181
+    min: float = _key(_number, -math.pi)
+    max: float = _key(_number, math.pi)
+    points: int = _key(_points, 181)
 
 
 @dataclass(frozen=True)
-class DriveConfig:
-    """Two-sided drive, either as incident field amplitudes or pump strengths."""
+class FieldDrive:
+    """Incident field amplitudes: a_in from the left, d_in * exp(-i d_phase) from the right."""
 
-    kind: str = "field"  # "field": a_in/d_in/d_phase; "pump": eta_l/eta_r/phi
-    a_in: float = 1.0
-    d_in: float = 0.0
-    d_phase: float = 0.0
-    eta_l: float | None = None
-    eta_r: float | None = None
-    phi: float | None = None
+    kind: ClassVar[str] = "field"
+    a_in: float = _key(_nonnegative, 1.0)
+    d_in: float = _key(_nonnegative, 0.0)
+    d_phase: float = _key(_number, 0.0)
+
+
+@dataclass(frozen=True)
+class PumpDrive:
+    """Coupled-mode pump strengths: eta_l on the left cavity, eta_r * exp(-i phi) on the right."""
+
+    kind: ClassVar[str] = "pump"
+    eta_l: float = _key(_nonnegative, 0.0)
+    eta_r: float = _key(_nonnegative, 0.0)
+    phi: float = _key(_number, 0.0)
+
+
+def _drive(raw, where: str):
+    """Parse ``drive`` as the kind whose keys it holds; with none of them it is a field drive."""
+    held = raw.keys() if isinstance(raw, dict) else set()
+    kinds = [cls for cls in (FieldDrive, PumpDrive) if held & {f.name for f in fields(cls)}]
+    if len(kinds) > 1:
+        named = (f"{cls.kind} keys ({'/'.join(f.name for f in fields(cls))})" for cls in kinds)
+        raise ConfigError(f"{where} mixes " + " with ".join(named))
+    return _section(kinds[0] if kinds else FieldDrive, raw, where)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "out"
-    svg: bool = False
+    directory: str = _key(_text, "out")
+    svg: bool = _key(_flag, False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    geometry: GeometryConfig
+    schema_version: int = _key(_version, SCHEMA_VERSION)
+    geometry: GeometryConfig = _key(partial(_section, GeometryConfig))
     model: str = "both"
     fiber_alignment: str = "resonant"
-    sweep: SweepConfig | None = None
-    zeta_grid: tuple[float, ...] = ()
-    phase_grid: PhaseConfig = field(default_factory=PhaseConfig)
-    drive: DriveConfig = field(default_factory=DriveConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    sweep: SweepConfig | None = _key(partial(_section, SweepConfig), None)
+    zeta_grid: tuple[float, ...] = _key(_numbers, ())
+    phase_grid: PhaseConfig = _key(partial(_section, PhaseConfig), PhaseConfig())
+    drive: FieldDrive | PumpDrive = _key(_drive, FieldDrive())
+    output: OutputConfig = _key(partial(_section, OutputConfig), OutputConfig())
 
     def resolved(self) -> dict:
-        """Plain-dict form embedded in output file headers."""
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "geometry": {
-                "zeta": self.geometry.zeta,
-                "cavity_length": self.geometry.cavity_length,
-                "cavity_order": self.geometry.cavity_order,
-                "fiber_length": self.geometry.fiber_length,
-                "fiber_order": self.geometry.fiber_order,
-                "single_cavity": self.geometry.single_cavity,
-            },
-            "model": self.model,
-            "fiber_alignment": self.fiber_alignment,
-            "drive": {
-                "kind": self.drive.kind,
-                **{key: getattr(self.drive, key) for key in DRIVE_KEYS[self.drive.kind]},
-            },
-            "output": {"directory": self.output.directory, "svg": self.output.svg},
-        }
-        if self.sweep is not None:
-            d["sweep"] = {
-                "parameter": self.sweep.parameter,
-                "min": self.sweep.lo,
-                "max": self.sweep.hi,
-                "points": self.sweep.points,
-            }
-        if self.zeta_grid:
-            d["zeta_grid"] = list(self.zeta_grid)
-        d["phase_grid"] = {
-            "min": self.phase_grid.lo,
-            "max": self.phase_grid.hi,
-            "points": self.phase_grid.points,
-        }
-        return d
+        """Plain-dict form embedded in output file headers; ``parse_config`` reads it back to this config."""
+        return _plain(self)
 
 
-def _parse_geometry(raw) -> GeometryConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("geometry must be an object")
-    _require_keys(
-        raw,
-        {"zeta", "cavity_length", "fiber_length", "cavity_order", "fiber_order", "single_cavity"},
-        "geometry",
-    )
-    single = raw.get("single_cavity", False)
-    if not isinstance(single, bool):
-        raise ConfigError(f"geometry.single_cavity must be a boolean, got {single!r}")
-    zeta = _number(raw, "zeta", "geometry", minimum=0.0, exclusive=True)
-    l_c = _number(raw, "cavity_length", "geometry", minimum=0.0, exclusive=True)
-    n_c = _integer(raw, "cavity_order", "geometry", minimum=1)
-    l_f = None
-    n_f = None
-    if not single:
-        l_f = _number(raw, "fiber_length", "geometry", minimum=0.0, exclusive=True)
-        if "fiber_order" in raw:
-            n_f = _integer(raw, "fiber_order", "geometry", minimum=1)
-    elif "fiber_length" in raw or "fiber_order" in raw:
-        raise ConfigError("geometry.single_cavity excludes fiber_length and fiber_order")
-    return GeometryConfig(zeta, l_c, n_c, l_f, n_f, single)
-
-
-def _parse_sweep(raw) -> SweepConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("sweep must be an object")
-    _require_keys(raw, {"parameter", "min", "max", "points"}, "sweep")
-    parameter = raw.get("parameter", "omega")
-    if parameter != "omega":
-        raise ConfigError(f"sweep.parameter must be 'omega', got {parameter!r}")
-    lo = _number(raw, "min", "sweep")
-    hi = _number(raw, "max", "sweep")
-    points = _integer(raw, "points", "sweep", minimum=2)
-    if not lo < hi:
-        raise ConfigError(f"sweep.min ({lo}) must be below sweep.max ({hi})")
-    if lo <= 0:
-        raise ConfigError(f"sweep.min must be positive, got {lo}")
-    return SweepConfig(parameter, lo, hi, points)
-
-
-def _parse_phase(raw) -> PhaseConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("phase_grid must be an object")
-    _require_keys(raw, {"min", "max", "points"}, "phase_grid")
-    lo = _number(raw, "min", "phase_grid", default=-math.pi)
-    hi = _number(raw, "max", "phase_grid", default=math.pi)
-    points = _integer(raw, "points", "phase_grid", default=181, minimum=2)
-    if not lo < hi:
-        raise ConfigError(f"phase_grid.min ({lo}) must be below phase_grid.max ({hi})")
-    return PhaseConfig(lo, hi, points)
-
-
-def _parse_drive(raw) -> DriveConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("drive must be an object")
-    field_keys, pump_keys = set(DRIVE_KEYS["field"]), set(DRIVE_KEYS["pump"])
-    _require_keys(raw, field_keys | pump_keys, "drive")
-    has_field = bool(field_keys & raw.keys())
-    has_pump = bool(pump_keys & raw.keys())
-    if has_field and has_pump:
-        raise ConfigError("drive mixes field keys (a_in/d_in/d_phase) with pump keys (eta_l/eta_r/phi)")
-    if has_pump:
-        eta_l = _number(raw, "eta_l", "drive", default=0.0, minimum=0.0)
-        eta_r = _number(raw, "eta_r", "drive", default=0.0, minimum=0.0)
-        phi = _number(raw, "phi", "drive", default=0.0)
-        return DriveConfig(kind="pump", eta_l=eta_l, eta_r=eta_r, phi=phi)
-    a_in = _number(raw, "a_in", "drive", default=1.0, minimum=0.0)
-    d_in = _number(raw, "d_in", "drive", default=0.0, minimum=0.0)
-    d_phase = _number(raw, "d_phase", "drive", default=0.0)
-    return DriveConfig(kind="field", a_in=a_in, d_in=d_in, d_phase=d_phase)
-
-
-def _parse_output(raw) -> OutputConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("output must be an object")
-    _require_keys(raw, {"directory", "svg"}, "output")
-    directory = raw.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(f"output.directory must be a nonempty string, got {directory!r}")
-    svg = raw.get("svg", False)
-    if not isinstance(svg, bool):
-        raise ConfigError(f"output.svg must be a boolean, got {svg!r}")
-    return OutputConfig(directory, svg)
+def _ordered(grid, where: str):
+    if not grid.min < grid.max:
+        raise ConfigError(f"{where}.min ({grid.min}) must be below {where}.max ({grid.max})")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    _require_keys(
-        raw,
-        {
-            "schema_version",
-            "geometry",
-            "model",
-            "fiber_alignment",
-            "sweep",
-            "zeta_grid",
-            "phase_grid",
-            "drive",
-            "output",
-        },
-        "",
-    )
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    if "geometry" not in raw:
-        raise ConfigError("missing required key 'geometry'")
-    geometry = _parse_geometry(raw["geometry"])
-    model = raw.get("model", "both")
-    if model not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
-    alignment = raw.get("fiber_alignment", "resonant")
-    if alignment not in ALIGNMENTS:
-        raise ConfigError(f"fiber_alignment must be one of {ALIGNMENTS}, got {alignment!r}")
-    sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
-    zeta_grid: tuple[float, ...] = ()
-    if "zeta_grid" in raw:
-        grid = raw["zeta_grid"]
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("zeta_grid must be a nonempty array of numbers")
-        values = []
-        for i, v in enumerate(grid):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ConfigError(f"zeta_grid[{i}] must be a finite number, got {v!r}")
-            if v <= 1:
-                raise ConfigError(f"zeta_grid[{i}] must be > 1 for resolvable peaks, got {v!r}")
-            values.append(float(v))
-        zeta_grid = tuple(values)
-    phase = _parse_phase(raw["phase_grid"]) if "phase_grid" in raw else PhaseConfig()
-    drive = _parse_drive(raw["drive"]) if "drive" in raw else DriveConfig()
-    output = _parse_output(raw["output"]) if "output" in raw else OutputConfig()
-    return ExperimentConfig(
-        geometry=geometry,
-        model=model,
-        fiber_alignment=alignment,
-        sweep=sweep,
-        zeta_grid=zeta_grid,
-        phase_grid=phase,
-        drive=drive,
-        output=output,
-    )
+    config = _section(ExperimentConfig, raw, "")
+    geo, sweep = config.geometry, config.sweep
+    if geo.single_cavity and (geo.fiber_length is not None or geo.fiber_order is not None):
+        raise ConfigError("geometry.single_cavity excludes fiber_length and fiber_order")
+    if not geo.single_cavity and geo.fiber_length is None:
+        raise ConfigError("missing required key geometry.fiber_length")
+    if config.model not in MODELS:
+        raise ConfigError(f"model must be one of {MODELS}, got {config.model!r}")
+    if config.fiber_alignment not in ALIGNMENTS:
+        raise ConfigError(f"fiber_alignment must be one of {ALIGNMENTS}, got {config.fiber_alignment!r}")
+    if sweep is not None:
+        if sweep.parameter != "omega":
+            raise ConfigError(f"sweep.parameter must be 'omega', got {sweep.parameter!r}")
+        _ordered(sweep, "sweep")
+        if sweep.min <= 0:
+            raise ConfigError(f"sweep.min must be positive, got {sweep.min}")
+    for i, v in enumerate(config.zeta_grid):
+        if v <= 1:
+            raise ConfigError(f"zeta_grid[{i}] must be > 1 for resolvable peaks, got {v!r}")
+    _ordered(config.phase_grid, "phase_grid")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -324,4 +257,6 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # valid JSON that Python cannot hold, e.g. an integer past int()'s digit limit
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
     return parse_config(raw)

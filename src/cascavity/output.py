@@ -112,11 +112,16 @@ def _block_bytes(cells, start: int) -> bytes | memoryview:
     return ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
 
 
+def config_json(resolved_config: dict) -> str:
+    """A resolved configuration as one line of JSON, the form CSV headers and SVG comments carry."""
+    return json.dumps(resolved_config, sort_keys=True, separators=(",", ":"))
+
+
 def header_lines(version: str, resolved_config: dict) -> list[str]:
     return [
         f"# cascavity {version}",
         "# float format: shortest round-trip decimal (orjson layout: 0.00001234, 9.06e-7, 1e16)",
-        "# config: " + json.dumps(resolved_config, sort_keys=True, separators=(",", ":")),
+        "# config: " + config_json(resolved_config),
     ]
 
 

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import cmath
-import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import DriveConfig, ExperimentConfig
+from .config import ExperimentConfig, FieldDrive, PumpDrive, SweepConfig
 from .errors import ConfigError
 from .matching import eta_from_input, kappa_from_geometry
-from .output import write_csv, write_json
+from .output import config_json, write_csv, write_json
 from .spectra import (
     DEFAULT_GRID_POINTS,
     build_cascade,
@@ -30,18 +30,17 @@ DARKMODE_DEFAULT_POINTS = 401
 
 
 def _svg_meta(resolved: dict) -> str:
-    return f"cascavity {__version__} config " + json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return f"cascavity {__version__} config " + config_json(resolved)
 
 
-def _resolve_drive(drive: DriveConfig, kappa: float):
-    """Return (a_in, d_in, d_phase, eta_l, eta_r, phi) for a given kappa."""
-    if drive.kind == "pump":
-        eta_l, eta_r, phi = drive.eta_l, drive.eta_r, drive.phi
+def _resolve_drive(drive: FieldDrive | PumpDrive, kappa: float):
+    """Return (a_in, d_in, phase, eta_l, eta_r) for a given kappa; the right drive carries exp(-i*phase)."""
+    if isinstance(drive, PumpDrive):
         root = math.sqrt(kappa)
-        return eta_l / root, eta_r / root, phi, eta_l, eta_r, phi
+        return drive.eta_l / root, drive.eta_r / root, drive.phi, drive.eta_l, drive.eta_r
     eta_l = eta_from_input(kappa, drive.a_in)
     eta_r = eta_from_input(kappa, drive.d_in)
-    return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r, drive.d_phase
+    return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r
 
 
 def _cascade(config: ExperimentConfig, command: str):
@@ -62,24 +61,23 @@ def _cascade(config: ExperimentConfig, command: str):
 def _omega_grid(config: ExperimentConfig, setup, grid_points: int | None, default_points: int):
     """The grid to sample, and the resolved configuration with it as ``sweep`` (which linspace reproduces exactly)."""
     if config.sweep is not None:
-        grid = np.linspace(config.sweep.lo, config.sweep.hi, grid_points or config.sweep.points)
+        grid = np.linspace(config.sweep.min, config.sweep.max, grid_points or config.sweep.points)
     else:
         grid = default_omega_window(setup, grid_points or default_points)
-    resolved = config.resolved()
-    resolved["sweep"] = {"parameter": "omega", "min": float(grid[0]), "max": float(grid[-1]), "points": grid.size}
-    return grid, resolved
+    sampled = SweepConfig(min=float(grid[0]), max=float(grid[-1]), points=grid.size)
+    return grid, replace(config, sweep=sampled).resolved()
 
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Transmission spectra of the selected model(s) -> spectrum.csv [spectrum.svg]."""
     geo = config.geometry
     kappa = kappa_from_geometry(geo.zeta, geo.cavity_length)
-    a_in, d_in, d_phase, eta_l, eta_r, phi = _resolve_drive(config.drive, kappa)
+    a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, kappa)
     if a_in == 0 and config.model != "coupled":
         raise ConfigError("the scattering spectrum needs a left drive: drive.a_in (or drive.eta_l) must be > 0")
     if not geo.single_cavity:
         setup = _cascade(config, "spectrum")
-        pumps = (eta_l, eta_r * cmath.exp(-1j * phi))
+        pumps = (eta_l, eta_r * cmath.exp(-1j * phase))
     elif d_in != 0.0:
         raise ConfigError("single_cavity runs support left-side drive only: drive.d_in (or drive.eta_r) must be 0")
     else:
@@ -90,7 +88,7 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     columns = [("omega", grid)]
     series = []
     if config.model in ("scattering", "both"):
-        scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * d_phase))
+        scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * phase))
         columns.append(("scattering_value", scat.values))
         series.append(("scattering", scat.values))
     if config.model in ("coupled", "both"):
@@ -216,7 +214,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     setup = _cascade(config, "darkmode")
     phase = config.phase_grid
     omega, resolved = _omega_grid(config, setup, grid_points, DARKMODE_DEFAULT_POINTS)
-    phis = np.linspace(phase.lo, phase.hi, phase.points)
+    phis = np.linspace(phase.min, phase.max, phase.points)
     scan = dark_mode_scan(setup.stack, omega, phis)
 
     n_omega, n_phi = scan.intensity.shape
@@ -274,7 +272,7 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
     """Matched coupled-mode parameters with formula provenance -> params.json."""
     setup = _cascade(config, "match")
     match = setup.match
-    a_in, d_in, d_phase, eta_l, eta_r, phi = _resolve_drive(config.drive, match.kappa)
+    a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, match.kappa)
     payload = {
         "version": __version__,
         "config": config.resolved(),
@@ -303,7 +301,7 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
             "model_fiber_length": setup.stack.elements[3].length,
         },
         "eta_l": {"value": eta_l, "formula": "sqrt(kappa)*a_in", "a_in": a_in},
-        "eta_r": {"value": eta_r, "formula": "sqrt(kappa)*d_in", "d_in": d_in, "phi": phi},
+        "eta_r": {"value": eta_r, "formula": "sqrt(kappa)*d_in", "d_in": d_in, "phi": phase},
         "resonant_fiber_length": {
             "value": match.resonant_fiber_length,
             "formula": "(n_f*pi + atan2(1, zeta))/omega_c",

@@ -36,7 +36,8 @@ class _Canvas:
             f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         ]
         if meta:
-            self.parts.append("<!-- " + meta.replace("--", "-") + " -->")
+            # a comment may not hold "--"; in JSON it only occurs inside strings, where "-\\u002d" reads back as "--"
+            self.parts.append("<!-- " + meta.replace("--", "-\\u002d") + " -->")
         self.parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
         if title:
             self.text(_WIDTH / 2, _MARGIN_T - 14, title, anchor="middle", size=14)

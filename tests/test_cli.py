@@ -389,7 +389,7 @@ class TestMatchCommand:
             raw = cascade_config(tmp_path / f"out{eta_r}", drive={"eta_l": 0.1, "eta_r": eta_r, "phi": 0.5})
             # only the pump keys: the unused field defaults stay out of the header
             drive = parse_config(raw).resolved()["drive"]
-            assert drive == {"kind": "pump", "eta_l": 0.1, "eta_r": eta_r, "phi": 0.5}
+            assert drive == {"eta_l": 0.1, "eta_r": eta_r, "phi": 0.5}
             result = CliRunner().invoke(main, ["match", "--config", str(write_config(tmp_path, raw))])
             assert result.exit_code == 0, result.output
             blocks.append(json.loads((tmp_path / f"out{eta_r}" / "params.json").read_text())["config"])
@@ -397,7 +397,7 @@ class TestMatchCommand:
         assert blocks[0]["drive"]["eta_r"] == 0.05 and blocks[1]["drive"]["eta_r"] == 0.07
         # field drives keep their headers: no pump keys
         field = parse_config(cascade_config("out")).resolved()["drive"]
-        assert field == {"kind": "field", "a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}
+        assert field == {"a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}
 
 
 class TestGridProvenance:
@@ -414,9 +414,6 @@ class TestGridProvenance:
         assert f"config {text} -->" in (tmp_path / "flag" / f"{command}.svg").read_text()
         resolved = json.loads(text)
         assert resolved["sweep"]["points"] == 11
-        # back to input form: the resolved drive names its kind and geometry lists unset keys as null
-        resolved["drive"].pop("kind")
-        resolved["geometry"] = {k: v for k, v in resolved["geometry"].items() if v is not None}
         resolved["output"]["directory"] = str(tmp_path / "header")
         result = CliRunner().invoke(main, [command, "--config", str(write_config(tmp_path, resolved, "header.json"))])
         assert result.exit_code == 0, result.output
@@ -424,6 +421,74 @@ class TestGridProvenance:
             rows = [ln for ln in path.read_bytes().splitlines(True) if not ln.startswith(b"#")]
             again = (tmp_path / "header" / path.name).read_bytes().splitlines(True)
             assert [ln for ln in again if not ln.startswith(b"#")] == rows
+
+
+def written_configs(directory):
+    """Every config a run wrote into ``directory``: CSV ``# config:`` lines, SVG comments, params.json."""
+    configs = {}
+    for path in sorted(directory.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".csv":
+            (line,) = [ln for ln in text.splitlines() if ln.startswith("# config: ")]
+            configs[path.name] = json.loads(line[len("# config: "):])
+        elif path.suffix == ".svg":
+            comment = text.split("<!-- ", 1)[1].split(" -->", 1)[0]
+            assert "--" not in comment
+            configs[path.name] = json.loads(comment.split(" config ", 1)[1])
+        else:
+            configs[path.name] = json.loads(text)["config"]
+    return configs
+
+
+class TestHeaderConfig:
+    """The config an output records is a valid input config, in CSV headers, SVG comments and params.json alike."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "delta", "profile", "darkmode", "match"])
+    def test_every_written_config_parses(self, tmp_path, command):
+        raw = cascade_config(
+            tmp_path / "out", zeta_grid=[5.0, 20.0], phase_grid={"min": -1.0, "max": 1.0, "points": 5}
+        )
+        args = [command, "--config", str(write_config(tmp_path, raw)), "--grid-points", "11", "--svg"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        configs = written_configs(tmp_path / "out")
+        assert configs
+        for name, config in configs.items():
+            assert parse_config(config).geometry.zeta == 5.0, name
+
+    def test_svg_comment_decodes_to_the_csv_config(self, tmp_path):
+        # "--" may not appear in an XML comment, so the SVG writes it as "-\u002d"
+        out = tmp_path / "run--1"
+        cfg = write_config(tmp_path, cascade_config(out))
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--grid-points", "11", "--svg"])
+        assert result.exit_code == 0, result.output
+        configs = written_configs(out)
+        assert configs["spectrum.svg"] == configs["spectrum.csv"]
+        assert configs["spectrum.svg"]["output"]["directory"] == str(out)
+
+
+class TestOversizedIntegers:
+    """A JSON integer beyond the float64 range is a configuration error that names its key or the file."""
+
+    @pytest.mark.parametrize("key", ["zeta", "cavity_order", "fiber_order"])
+    def test_400_digit_integer_names_the_key(self, tmp_path, key):
+        raw = cascade_config(tmp_path / "out")
+        raw["geometry"][key] = 10**400
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(write_config(tmp_path, raw))])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error:") and f"geometry.{key}" in result.output
+
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path):
+        raw = cascade_config(tmp_path / "out")
+        raw["geometry"]["zeta"] = "ZETA"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw).replace('"ZETA"', "1" + "0" * 4999))
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        # json.loads refuses the literal where int() has a digit limit (Python 3.10.7 on); otherwise the key check does
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert result.output.startswith("configuration error:")
+        assert (str(path) if 0 < limit < 5000 else "geometry.zeta") in result.output
 
 
 class TestStartup:

@@ -104,6 +104,30 @@ class TestParseConfig:
         assert resolved["output"] == {"directory": "x", "svg": True}
 
 
+SINGLE_CAVITY = {"zeta": 20.0, "cavity_length": 1.0, "cavity_order": 10, "single_cavity": True}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"drive": {"eta_l": 0.2, "eta_r": 0.1, "phi": 0.5}},
+        {"geometry": SINGLE_CAVITY},
+        {"fiber_alignment": "nominal", "geometry": {**base_config()["geometry"], "fiber_order": 48}},
+        {
+            "sweep": {"parameter": "omega", "min": 31.4, "max": 31.8, "points": 11},
+            "zeta_grid": [2, 5.5, 200],
+            "phase_grid": {"min": -1.0, "max": 2.0, "points": 7},
+            "output": {"directory": "run--1", "svg": True},
+        },
+    ],
+    ids=["minimal", "pump", "single_cavity", "nominal_fiber_order", "grids_and_output"],
+)
+def test_resolved_parses_back_to_the_config(overrides):
+    cfg = parse_config(base_config(**overrides))
+    assert parse_config(json.loads(json.dumps(cfg.resolved()))) == cfg
+
+
 class TestLoadConfig:
     def test_loads_from_file(self, tmp_path):
         path = tmp_path / "run.json"
