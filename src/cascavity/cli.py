@@ -29,7 +29,7 @@ def _common_options(f):
     return f
 
 
-def _execute(runner, config_path, out_dir, svg, grid_points, quiet):
+def _execute(command, config_path, out_dir, svg, grid_points, quiet):
     try:
         config = load_config(config_path)
         if grid_points is not None and grid_points < 2:
@@ -46,7 +46,7 @@ def _execute(runner, config_path, out_dir, svg, grid_points, quiet):
     want_svg = svg or config.output.svg
 
     try:
-        paths = runner(config, target, want_svg, grid_points)
+        paths = getattr(runs, f"run_{command}")(config, target, want_svg, grid_points)
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -65,39 +65,25 @@ def main():
     """Cascaded-cavity simulator: scattering and coupled-mode models side by side."""
 
 
-@main.command()
-@_common_options
-def spectrum(config_path, out_dir, svg, grid_points, quiet):
-    """Transmission spectrum of the selected model(s)."""
-    _execute(runs.run_spectrum, config_path, out_dir, svg, grid_points, quiet)
+# command name -> help text; each command runs runs.run_<name>, looked up when the command runs
+COMMANDS = {
+    "spectrum": "Transmission spectrum of the selected model(s).",
+    "delta": "Side-peak distance difference between the models over a zeta grid.",
+    "profile": "Intracavity intensities of both models versus drive frequency.",
+    "darkmode": "Fiber intensity under two-sided drive versus frequency and pump phase.",
+    "match": "Matched coupled-mode parameters for a geometry, with provenance.",
+}
 
 
-@main.command()
-@_common_options
-def delta(config_path, out_dir, svg, grid_points, quiet):
-    """Side-peak distance difference between the models over a zeta grid."""
-    _execute(runs.run_delta, config_path, out_dir, svg, grid_points, quiet)
+def _add_command(name: str, help_text: str) -> None:
+    @main.command(name, help=help_text)
+    @_common_options
+    def command(config_path, out_dir, svg, grid_points, quiet):
+        _execute(name, config_path, out_dir, svg, grid_points, quiet)
 
 
-@main.command()
-@_common_options
-def profile(config_path, out_dir, svg, grid_points, quiet):
-    """Intracavity intensities of both models versus drive frequency."""
-    _execute(runs.run_profile, config_path, out_dir, svg, grid_points, quiet)
-
-
-@main.command()
-@_common_options
-def darkmode(config_path, out_dir, svg, grid_points, quiet):
-    """Fiber intensity under two-sided drive versus frequency and pump phase."""
-    _execute(runs.run_darkmode, config_path, out_dir, svg, grid_points, quiet)
-
-
-@main.command()
-@_common_options
-def match(config_path, out_dir, svg, grid_points, quiet):
-    """Matched coupled-mode parameters for a geometry, with provenance."""
-    _execute(runs.run_match, config_path, out_dir, svg, grid_points, quiet)
+for _name, _help in COMMANDS.items():
+    _add_command(_name, _help)
 
 
 if __name__ == "__main__":

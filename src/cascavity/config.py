@@ -253,10 +253,14 @@ def load_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file {path} is not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"configuration file {path} nests JSON too deeply to read: {exc}") from exc
     except ValueError as exc:  # valid JSON that Python cannot hold, e.g. an integer past int()'s digit limit
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
     return parse_config(raw)

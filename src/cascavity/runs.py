@@ -1,4 +1,25 @@
-"""Experiment runners: turn a validated configuration into CSV/JSON/SVG files."""
+"""Experiment runners: turn a validated configuration into CSV/JSON/SVG files.
+
+The sampled runs (``spectrum``, ``profile``, ``darkmode``) go through one
+pipeline, ``_sampled``, whose stages run in this order:
+
+1. grid: ``_omega_grid`` samples ``sweep`` or the default window around the
+   matched resonance, and refuses a grid too fine for float64;
+2. compute: the runner's ``compute(grid)`` gives its tables and its plot;
+3. write: each table gains ``omega_over_omega_c``, its first column over the
+   matched ``omega_c``, as its last column, and ``_write`` writes it as CSV;
+4. plot: with ``--svg``, ``_write`` draws the plot the runner named.
+
+``delta`` has no grid and goes straight to ``_write``; ``match`` writes one
+JSON file.  Each stage looks up the layer entry points it calls
+(``write_csv``, ``write_json``, ``dark_mode_scan``, ``intensity_comparison``,
+``peak_separation_delta`` here; ``line_plot`` and ``heat_map`` in ``svgplot``)
+as module attributes when it runs, and never keeps them in a table built at
+import: the benchmark tracer (``perfbench/spans.py``) times each layer by
+patching those attributes, and a runner captured early would record no span.
+The CLI looks up ``run_<command>`` in this module the same way, so a test can
+monkeypatch a runner.  ``svgplot`` is imported only when a plot is drawn.
+"""
 
 from __future__ import annotations
 
@@ -43,11 +64,15 @@ def _resolve_drive(drive: FieldDrive | PumpDrive, kappa: float):
     return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r
 
 
+def _cascaded_geometry(config: ExperimentConfig, command: str):
+    if config.geometry.single_cavity:
+        raise ConfigError(f"{command} runs require the cascaded geometry")
+    return config.geometry
+
+
 def _cascade(config: ExperimentConfig, command: str):
     """The configured four-mirror stack and its matched mode system."""
-    geo = config.geometry
-    if geo.single_cavity:
-        raise ConfigError(f"{command} runs require the cascaded geometry")
+    geo = _cascaded_geometry(config, command)
     return build_cascade(
         geo.zeta,
         geo.cavity_length,
@@ -58,14 +83,55 @@ def _cascade(config: ExperimentConfig, command: str):
     )
 
 
-def _omega_grid(config: ExperimentConfig, setup, grid_points: int | None, default_points: int):
-    """The grid to sample, and the resolved configuration with it as ``sweep`` (which linspace reproduces exactly)."""
+def _omega_grid(command: str, config: ExperimentConfig, setup, grid_points: int | None, default_points: int):
+    """The grid to sample, and the resolved configuration with it as ``sweep`` (which linspace reproduces exactly).
+
+    A grid whose step float64 cannot resolve at its top repeats points; that is
+    a configuration error naming where the grid came from.
+    """
+    flag = " and --grid-points" if grid_points else ""
     if config.sweep is not None:
         grid = np.linspace(config.sweep.min, config.sweep.max, grid_points or config.sweep.points)
+        source = "sweep.min/sweep.max" + (flag or "/sweep.points")
     else:
         grid = default_omega_window(setup, grid_points or default_points)
+        source = f"the default window at geometry.zeta = {config.geometry.zeta!r}{flag}"
     sampled = SweepConfig(min=float(grid[0]), max=float(grid[-1]), points=grid.size)
+    if not np.all(np.diff(grid) > 0):
+        step = (sampled.max - sampled.min) / (sampled.points - 1)
+        raise ConfigError(
+            f"{command}: the grid from {source} ({sampled.points} points over [{sampled.min!r}, {sampled.max!r}])"
+            f" is not strictly increasing: its step {step:.3g} is not above the float64 spacing"
+            f" {np.spacing(sampled.max):.3g} at its top; use fewer points or a wider range"
+        )
     return grid, replace(config, sweep=sampled).resolved()
+
+
+def _write(out_dir: Path, command: str, resolved: dict, tables, plot, svg: bool):
+    """Write each (file name, columns) table as CSV, and with ``svg`` the plot as ``<command>.svg``.
+
+    ``plot`` is (``svgplot`` function name, positional arguments, labels).
+    """
+    paths = [write_csv(out_dir / name, columns, __version__, resolved) for name, columns in tables]
+    tables.clear()  # a plot is a run's memory peak, so the written columns are freed first
+    if svg:
+        from . import svgplot
+
+        kind, args, labels = plot
+        paths.append(getattr(svgplot, kind)(out_dir / f"{command}.svg", *args, meta=_svg_meta(resolved), **labels))
+    return paths
+
+
+def _sampled(command: str, config: ExperimentConfig, setup, out_dir: Path, svg: bool, grid_points, default_points, compute):
+    """Run the sampled pipeline: grid -> ``compute(grid)`` -> write -> plot; returns the paths written.
+
+    ``compute`` returns the run's tables, each with omega as its first column, and its plot.
+    """
+    grid, resolved = _omega_grid(command, config, setup, grid_points, default_points)
+    tables, plot = compute(grid)
+    omega_c = setup.system.omega_c
+    tables = [(name, [*columns, ("omega_over_omega_c", columns[0][1] / omega_c)]) for name, columns in tables]
+    return _write(out_dir, command, resolved, tables, plot, svg)
 
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
@@ -83,37 +149,22 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     else:
         setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
         pumps = (0.0, eta_l)  # the single cavity is the measured mode b
-    grid, resolved = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
 
-    columns = [("omega", grid)]
-    series = []
-    if config.model in ("scattering", "both"):
-        scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * phase))
-        columns.append(("scattering_value", scat.values))
-        series.append(("scattering", scat.values))
-    if config.model in ("coupled", "both"):
-        coup = sweep_coupled(setup.system, grid, *pumps)
-        columns.append(("coupled_value", coup.values))
-        series.append(("coupled", coup.values))
-    columns.append(("omega_over_omega_c", grid / setup.system.omega_c))
+    def compute(grid):
+        columns = [("omega", grid)]
+        series = []
+        if config.model in ("scattering", "both"):
+            scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * phase))
+            columns.append(("scattering_value", scat.values))
+            series.append(("scattering", scat.values))
+        if config.model in ("coupled", "both"):
+            coup = sweep_coupled(setup.system, grid, *pumps)
+            columns.append(("coupled_value", coup.values))
+            series.append(("coupled", coup.values))
+        labels = dict(xlabel="omega (c/L)", ylabel="transmitted photocurrent", title="transmission spectrum", logy=True)
+        return [("spectrum.csv", columns)], ("line_plot", (grid, series), labels)
 
-    paths = [write_csv(out_dir / "spectrum.csv", columns, __version__, resolved)]
-    if svg:
-        from .svgplot import line_plot
-
-        paths.append(
-            line_plot(
-                out_dir / "spectrum.svg",
-                grid,
-                series,
-                xlabel="omega (c/L)",
-                ylabel="transmitted photocurrent",
-                title="transmission spectrum",
-                logy=True,
-                meta=_svg_meta(resolved),
-            )
-        )
-    return paths
+    return _sampled("spectrum", config, setup, out_dir, svg, grid_points, DEFAULT_GRID_POINTS, compute)
 
 
 def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
@@ -129,9 +180,7 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
             "delta runs do not read 'sweep': the resonances are poles, found without a frequency grid"
             " (--grid-points has no effect either)"
         )
-    geo = config.geometry
-    if geo.single_cavity:
-        raise ConfigError("delta runs require the cascaded geometry")
+    geo = _cascaded_geometry(config, "delta")
     entries = peak_separation_delta(
         config.zeta_grid,
         geo.cavity_length,
@@ -151,121 +200,75 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
     for model, attr in (("scat", "scattering_poles"), ("coupled", "coupled_poles")):
         for i, side in enumerate(("lo", "mid", "hi")):
             columns.append((f"{model}_hw_{side}", [-getattr(e, attr)[i].imag for e in entries]))
-    paths = [write_csv(out_dir / "delta.csv", columns, __version__, config.resolved())]
-    if svg:
-        from .svgplot import line_plot
-
-        abs_mean = [abs(e.delta_mean) if e.error is None else math.nan for e in entries]
-        paths.append(
-            line_plot(
-                out_dir / "delta.svg",
-                [e.zeta for e in entries],
-                [("|delta_mean|", abs_mean), ("kappa", [e.kappa for e in entries])],
-                xlabel="zeta",
-                ylabel="peak-distance difference (c/L)",
-                title="model disagreement vs mirror polarizability",
-                logy=True,
-                meta=_svg_meta(config.resolved()),
-            )
-        )
-    return paths
+    abs_mean = [abs(e.delta_mean) if e.error is None else math.nan for e in entries]
+    series = [("|delta_mean|", abs_mean), ("kappa", [e.kappa for e in entries])]
+    labels = dict(
+        xlabel="zeta",
+        ylabel="peak-distance difference (c/L)",
+        title="model disagreement vs mirror polarizability",
+        logy=True,
+    )
+    plot = ("line_plot", ([e.zeta for e in entries], series), labels)
+    return _write(out_dir, "delta", config.resolved(), [("delta.csv", columns)], plot, svg)
 
 
 def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Intracavity intensity curves for both models -> profile.csv [profile.svg]."""
     setup = _cascade(config, "profile")
-    grid, resolved = _omega_grid(config, setup, grid_points, DEFAULT_GRID_POINTS)
-    curves = intensity_comparison(setup, grid)
-    omega_c = setup.system.omega_c
-    columns = [
-        ("omega", curves.omega),
-        ("scat_left", curves.scattering_left),
-        ("scat_right", curves.scattering_right),
-        ("coupled_left", curves.coupled_left),
-        ("coupled_right", curves.coupled_right),
-        ("omega_over_omega_c", curves.omega / omega_c),
-    ]
-    paths = [write_csv(out_dir / "profile.csv", columns, __version__, resolved)]
-    if svg:
-        from .svgplot import line_plot
 
-        paths.append(
-            line_plot(
-                out_dir / "profile.svg",
-                curves.omega,
-                [
-                    ("scattering left", curves.scattering_left),
-                    ("scattering right", curves.scattering_right),
-                    ("coupled left", curves.coupled_left),
-                    ("coupled right", curves.coupled_right),
-                ],
-                xlabel="omega (c/L)",
-                ylabel="intracavity intensity",
-                title="intracavity intensities, left-side drive",
-                logy=True,
-                meta=_svg_meta(resolved),
-            )
+    def compute(grid):
+        curves = intensity_comparison(setup, grid)
+        columns = [
+            ("omega", curves.omega),
+            ("scat_left", curves.scattering_left),
+            ("scat_right", curves.scattering_right),
+            ("coupled_left", curves.coupled_left),
+            ("coupled_right", curves.coupled_right),
+        ]
+        series = [
+            ("scattering left", curves.scattering_left),
+            ("scattering right", curves.scattering_right),
+            ("coupled left", curves.coupled_left),
+            ("coupled right", curves.coupled_right),
+        ]
+        labels = dict(
+            xlabel="omega (c/L)",
+            ylabel="intracavity intensity",
+            title="intracavity intensities, left-side drive",
+            logy=True,
         )
-    return paths
+        return [("profile.csv", columns)], ("line_plot", (curves.omega, series), labels)
+
+    return _sampled("profile", config, setup, out_dir, svg, grid_points, DEFAULT_GRID_POINTS, compute)
 
 
 def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Fiber intensity vs (omega, phi) -> darkmode.csv, darkmode_fit.csv [darkmode.svg]."""
     setup = _cascade(config, "darkmode")
     phase = config.phase_grid
-    omega, resolved = _omega_grid(config, setup, grid_points, DARKMODE_DEFAULT_POINTS)
-    phis = np.linspace(phase.min, phase.max, phase.points)
-    scan = dark_mode_scan(setup.stack, omega, phis)
 
-    n_omega, n_phi = scan.intensity.shape
-    omega_c = setup.match.omega_c
-    paths = [
-        write_csv(
-            out_dir / "darkmode.csv",
-            [
-                ("omega", np.repeat(scan.omega_grid, n_phi)),
-                ("phi", np.tile(scan.phi_grid, n_omega)),
-                ("fiber_intensity", scan.intensity.reshape(-1)),
-                ("omega_over_omega_c", np.repeat(scan.omega_grid / omega_c, n_phi)),
-            ],
-            __version__,
-            resolved,
-        )
-    ]
-    closed_form = scan.c0[:, None] + scan.c1[:, None] * np.cos(scan.phi_grid - scan.phi0[:, None])
-    paths.append(
-        write_csv(
-            out_dir / "darkmode_fit.csv",
-            [
-                ("omega", scan.omega_grid),
-                ("c0", scan.c0),
-                ("c1", scan.c1),
-                ("phi0", scan.phi0),
-                ("residual", np.max(np.abs(scan.intensity - closed_form), axis=1)),
-                ("phi_min", np.remainder(scan.phi0, 2 * math.pi) - math.pi),
-                ("omega_over_omega_c", scan.omega_grid / omega_c),
-            ],
-            __version__,
-            resolved,
-        )
-    )
-    if svg:
-        from .svgplot import heat_map
+    def compute(omega):
+        scan = dark_mode_scan(setup.stack, omega, np.linspace(phase.min, phase.max, phase.points))
+        n_omega, n_phi = scan.intensity.shape
+        closed_form = scan.c0[:, None] + scan.c1[:, None] * np.cos(scan.phi_grid - scan.phi0[:, None])
+        scan_columns = [
+            ("omega", np.repeat(scan.omega_grid, n_phi)),
+            ("phi", np.tile(scan.phi_grid, n_omega)),
+            ("fiber_intensity", scan.intensity.reshape(-1)),
+        ]
+        fit_columns = [
+            ("omega", scan.omega_grid),
+            ("c0", scan.c0),
+            ("c1", scan.c1),
+            ("phi0", scan.phi0),
+            ("residual", np.max(np.abs(scan.intensity - closed_form), axis=1)),
+            ("phi_min", np.remainder(scan.phi0, 2 * math.pi) - math.pi),
+        ]
+        labels = dict(xlabel="omega (c/L)", ylabel="phi (rad)", title="fiber intensity (log scale)", logz=True)
+        tables = [("darkmode.csv", scan_columns), ("darkmode_fit.csv", fit_columns)]
+        return tables, ("heat_map", (scan.omega_grid, scan.phi_grid, scan.intensity), labels)
 
-        paths.append(
-            heat_map(
-                out_dir / "darkmode.svg",
-                scan.omega_grid,
-                scan.phi_grid,
-                scan.intensity,
-                xlabel="omega (c/L)",
-                ylabel="phi (rad)",
-                title="fiber intensity (log scale)",
-                logz=True,
-                meta=_svg_meta(resolved),
-            )
-        )
-    return paths
+    return _sampled("darkmode", config, setup, out_dir, svg, grid_points, DARKMODE_DEFAULT_POINTS, compute)
 
 
 def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):

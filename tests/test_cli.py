@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -456,15 +457,35 @@ class TestHeaderConfig:
         for name, config in configs.items():
             assert parse_config(config).geometry.zeta == 5.0, name
 
-    def test_svg_comment_decodes_to_the_csv_config(self, tmp_path):
+    # command -> (SVG title, legend labels in series order)
+    SVG_TEXT = {
+        "spectrum": ("transmission spectrum", ["scattering", "coupled"]),
+        "delta": ("model disagreement vs mirror polarizability", ["|delta_mean|", "kappa"]),
+        "profile": (
+            "intracavity intensities, left-side drive",
+            ["scattering left", "scattering right", "coupled left", "coupled right"],
+        ),
+        "darkmode": ("fiber intensity (log scale)", []),
+    }
+
+    @pytest.mark.parametrize("command", list(SVG_TEXT))
+    def test_svg_comment_decodes_to_the_csv_config(self, tmp_path, command):
         # "--" may not appear in an XML comment, so the SVG writes it as "-\u002d"
         out = tmp_path / "run--1"
-        cfg = write_config(tmp_path, cascade_config(out))
-        result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--grid-points", "11", "--svg"])
+        raw = cascade_config(out, zeta_grid=[5.0, 20.0], phase_grid={"min": -1.0, "max": 1.0, "points": 5})
+        args = [command, "--config", str(write_config(tmp_path, raw)), "--grid-points", "11", "--svg"]
+        result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, result.output
         configs = written_configs(out)
-        assert configs["spectrum.svg"] == configs["spectrum.csv"]
-        assert configs["spectrum.svg"]["output"]["directory"] == str(out)
+        assert configs[f"{command}.svg"] == configs[f"{command}.csv"]
+        assert configs[f"{command}.svg"]["output"]["directory"] == str(out)
+        texts = re.findall(r"<text [^>]*>([^<]*)</text>", (out / f"{command}.svg").read_text())
+        title, labels = self.SVG_TEXT[command]
+        assert texts[0] == title
+        if labels:
+            assert texts[-len(labels):] == labels
+        else:  # the heat map's last text is its colour scale
+            assert texts[-1].startswith("log10: ")
 
 
 class TestOversizedIntegers:
@@ -489,6 +510,57 @@ class TestOversizedIntegers:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         assert result.output.startswith("configuration error:")
         assert (str(path) if 0 < limit < 5000 else "geometry.zeta") in result.output
+
+
+class TestUnreadableConfigFile:
+    """A config file that cannot be decoded is a configuration error naming the file, not a traceback."""
+
+    def run(self, tmp_path, content: bytes):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error:") and str(path) in result.output
+        return result.output
+
+    def test_non_utf8_bytes(self, tmp_path):
+        assert "UTF-8" in self.run(tmp_path, b'{"schema_version": 1, "model": "\xff"}')
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path):
+        assert "too deeply" in self.run(tmp_path, b"[" * 200000 + b"]" * 200000)
+
+
+class TestCollapsedGrid:
+    """A grid too fine for float64 is a configuration error naming the command, the grid's source, ends and step."""
+
+    def run(self, tmp_path, command, *flags, **overrides):
+        raw = cascade_config(tmp_path / "out", **overrides)
+        result = CliRunner().invoke(main, [command, "--config", str(write_config(tmp_path, raw)), *flags])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"configuration error: {command}: the grid from ")
+        assert "is not strictly increasing" in result.output and "float64 spacing" in result.output
+        return result.output
+
+    @pytest.mark.parametrize("command", ["spectrum", "profile", "darkmode"])
+    def test_sweep_keys(self, tmp_path, command):
+        sweep = {"parameter": "omega", "min": 1.0, "max": 1.0000000000000002, "points": 5}
+        output = self.run(tmp_path, command, sweep=sweep)
+        assert "sweep.min/sweep.max/sweep.points (5 points over [1.0, 1.0000000000000002])" in output
+        assert f"step {(1.0000000000000002 - 1.0) / 4:.3g}" in output
+        assert f"float64 spacing {np.spacing(1.0000000000000002):.3g} at its top" in output
+
+    def test_grid_points_flag(self, tmp_path):
+        # three points over four ulps are distinct; fifty are not
+        sweep = {"parameter": "omega", "min": 31.0, "max": 31.000000000000014, "points": 3}
+        output = self.run(tmp_path, "spectrum", "--grid-points", "50", sweep=sweep)
+        assert "sweep.min/sweep.max and --grid-points (50 points over [31.0, 31.000000000000014])" in output
+
+    @pytest.mark.parametrize("command", ["spectrum", "profile"])
+    def test_default_window(self, tmp_path, command):
+        # the window is omega_c +- 3*sqrt(2)*g, and g ~ 1/(2*sqrt(5)*zeta) leaves 4001 points below one ulp apart
+        geometry = {"zeta": 1e12, "cavity_length": 1.0, "fiber_length": 5.0, "cavity_order": 10}
+        output = self.run(tmp_path, command, geometry=geometry)
+        assert "the default window at geometry.zeta = 1000000000000.0 (4001 points over [31.4" in output
 
 
 class TestStartup:
