@@ -4,11 +4,21 @@ The sampled runs (``spectrum``, ``profile``, ``darkmode``) go through one
 pipeline, ``_sampled``, whose stages run in this order:
 
 1. grid: ``_omega_grid`` samples ``sweep`` or the default window around the
-   matched resonance, and refuses a grid too fine for float64;
-2. compute: the runner's ``compute(grid)`` gives its tables and its plot;
+   matched resonance, and refuses a grid too fine for float64 to space evenly;
+2. compute: ``_blocks`` splits the grid into near-equal blocks of at most
+   ``_BLOCK_POINTS`` points, runs the runner's ``compute(block)`` on each in
+   grid order, and copies each block's tables into full-length columns, so no
+   engine allocates a full-grid temporary.  Every engine is elementwise in
+   omega, so the tables do not depend on the block size; near-equal blocks
+   keep every block at half the size or more, since numpy may round a product
+   over a very short array differently.  A grid of at most ``_BLOCK_POINTS``
+   points is one ``compute`` call with no copy.  The blocks run serially: the
+   benchmark tracer keeps one span stack, which is not thread-safe, and two
+   threads over the same blocks measured slower end to end than one;
 3. write: each table gains ``omega_over_omega_c``, its first column over the
    matched ``omega_c``, as its last column, and ``_write`` writes it as CSV;
-4. plot: with ``--svg``, ``_write`` draws the plot the runner named.
+4. plot: with ``--svg``, the runner's ``plot`` names its series by table
+   column, and ``_write`` draws it from the full tables.
 
 ``delta`` has no grid and goes straight to ``_write``; ``match`` writes one
 JSON file.  Each stage looks up the layer entry points it calls
@@ -48,6 +58,8 @@ from .spectra import (
 )
 
 DARKMODE_DEFAULT_POINTS = 401
+# omega points per compute call; see CHANGES.md for the measured block sizes
+_BLOCK_POINTS = 16384
 
 
 def _svg_meta(resolved: dict) -> str:
@@ -86,8 +98,9 @@ def _cascade(config: ExperimentConfig, command: str):
 def _omega_grid(command: str, config: ExperimentConfig, setup, grid_points: int | None, default_points: int):
     """The grid to sample, and the resolved configuration with it as ``sweep`` (which linspace reproduces exactly).
 
-    A grid whose step float64 cannot resolve at its top repeats points; that is
-    a configuration error naming where the grid came from.
+    A grid whose step float64 cannot resolve at its top repeats points, and one
+    whose step is a few float64 spacings is unevenly spaced; either is a
+    configuration error naming where the grid came from.
     """
     flag = " and --grid-points" if grid_points else ""
     if config.sweep is not None:
@@ -97,12 +110,19 @@ def _omega_grid(command: str, config: ExperimentConfig, setup, grid_points: int 
         grid = default_omega_window(setup, grid_points or default_points)
         source = f"the default window at geometry.zeta = {config.geometry.zeta!r}{flag}"
     sampled = SweepConfig(min=float(grid[0]), max=float(grid[-1]), points=grid.size)
-    if not np.all(np.diff(grid) > 0):
-        step = (sampled.max - sampled.min) / (sampled.points - 1)
+    where = f"{command}: the grid from {source} ({sampled.points} points over [{sampled.min!r}, {sampled.max!r}])"
+    steps = np.diff(grid)
+    step = (sampled.max - sampled.min) / (sampled.points - 1)
+    if not np.all(steps > 0):
         raise ConfigError(
-            f"{command}: the grid from {source} ({sampled.points} points over [{sampled.min!r}, {sampled.max!r}])"
-            f" is not strictly increasing: its step {step:.3g} is not above the float64 spacing"
+            f"{where} is not strictly increasing: its step {step:.3g} is not above the float64 spacing"
             f" {np.spacing(sampled.max):.3g} at its top; use fewer points or a wider range"
+        )
+    if steps.max() - steps.min() > 0.01 * step:  # the heat map draws every omega column the same width
+        raise ConfigError(
+            f"{where} is unevenly spaced: its steps run from {steps.min():.3g} to {steps.max():.3g},"
+            f" more than 1% of its step {step:.3g} apart; the float64 spacing at its top is"
+            f" {np.spacing(sampled.max):.3g}; use fewer points or a wider range"
         )
     return grid, replace(config, sweep=sampled).resolved()
 
@@ -122,16 +142,59 @@ def _write(out_dir: Path, command: str, resolved: dict, tables, plot, svg: bool)
     return paths
 
 
-def _sampled(command: str, config: ExperimentConfig, setup, out_dir: Path, svg: bool, grid_points, default_points, compute):
-    """Run the sampled pipeline: grid -> ``compute(grid)`` -> write -> plot; returns the paths written.
+def _blocks(grid: np.ndarray, compute):
+    """``compute(block)``'s tables over near-equal blocks of at most ``_BLOCK_POINTS`` points, joined in grid order.
 
-    ``compute`` returns the run's tables, each with omega as its first column, and its plot.
+    A table may give each omega point several rows (``darkmode.csv`` gives one
+    per phase).  Each block's columns are copied into full-length columns and
+    freed before the next block is computed.
+    """
+    blocks = np.array_split(grid, -(-grid.size // _BLOCK_POINTS))
+    joined = []
+    start = 0
+    for block in blocks:
+        tables = compute(block)
+        if len(blocks) == 1:
+            return tables
+        if not joined:
+            joined = [
+                (name, [(key, np.empty(grid.size * (col.size // block.size), col.dtype)) for key, col in columns])
+                for name, columns in tables
+            ]
+        for (_, whole), (_, columns) in zip(joined, tables):
+            for (_, out), (_, col) in zip(whole, columns):
+                rows = col.size // block.size
+                out[start * rows : (start + block.size) * rows] = col
+        start += block.size
+        del tables
+    return joined
+
+
+def _sampled(
+    command: str, config: ExperimentConfig, setup, out_dir: Path, svg: bool, grid_points, default_points, compute, plot
+):
+    """Run the sampled pipeline: grid -> ``compute`` by blocks -> write -> plot; returns the paths written.
+
+    ``compute(block)`` returns the block's tables, each (file name, columns)
+    with omega as its first column.  ``plot`` maps ``{file name: {column:
+    values}}`` of the full tables to the ``_write`` plot.
     """
     grid, resolved = _omega_grid(command, config, setup, grid_points, default_points)
-    tables, plot = compute(grid)
+    tables = _blocks(grid, compute)
     omega_c = setup.system.omega_c
     tables = [(name, [*columns, ("omega_over_omega_c", columns[0][1] / omega_c)]) for name, columns in tables]
-    return _write(out_dir, command, resolved, tables, plot, svg)
+    figure = plot({name: dict(columns) for name, columns in tables}) if svg else None
+    return _write(out_dir, command, resolved, tables, figure, svg)
+
+
+def _line_plot(table: str, series, **labels):
+    """A ``plot`` of ``table``'s (label, column) ``series`` against its omega column."""
+
+    def plot(tables):
+        columns = tables[table]
+        return "line_plot", (columns["omega"], [(label, columns[key]) for label, key in series]), labels
+
+    return plot
 
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
@@ -150,21 +213,20 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
         setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
         pumps = (0.0, eta_l)  # the single cavity is the measured mode b
 
+    d_drive = d_in * np.exp(-1j * phase)
+
     def compute(grid):
         columns = [("omega", grid)]
-        series = []
         if config.model in ("scattering", "both"):
-            scat = sweep_scattering(setup.stack, grid, a_in, d_in * np.exp(-1j * phase))
-            columns.append(("scattering_value", scat.values))
-            series.append(("scattering", scat.values))
+            columns.append(("scattering_value", sweep_scattering(setup.stack, grid, a_in, d_drive).values))
         if config.model in ("coupled", "both"):
-            coup = sweep_coupled(setup.system, grid, *pumps)
-            columns.append(("coupled_value", coup.values))
-            series.append(("coupled", coup.values))
-        labels = dict(xlabel="omega (c/L)", ylabel="transmitted photocurrent", title="transmission spectrum", logy=True)
-        return [("spectrum.csv", columns)], ("line_plot", (grid, series), labels)
+            columns.append(("coupled_value", sweep_coupled(setup.system, grid, *pumps).values))
+        return [("spectrum.csv", columns)]
 
-    return _sampled("spectrum", config, setup, out_dir, svg, grid_points, DEFAULT_GRID_POINTS, compute)
+    series = [(model, f"{model}_value") for model in ("scattering", "coupled") if config.model in (model, "both")]
+    labels = dict(xlabel="omega (c/L)", ylabel="transmitted photocurrent", title="transmission spectrum", logy=True)
+    plot = _line_plot("spectrum.csv", series, **labels)
+    return _sampled("spectrum", config, setup, out_dir, svg, grid_points, DEFAULT_GRID_POINTS, compute, plot)
 
 
 def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
@@ -225,35 +287,37 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
             ("coupled_left", curves.coupled_left),
             ("coupled_right", curves.coupled_right),
         ]
-        series = [
-            ("scattering left", curves.scattering_left),
-            ("scattering right", curves.scattering_right),
-            ("coupled left", curves.coupled_left),
-            ("coupled right", curves.coupled_right),
-        ]
-        labels = dict(
-            xlabel="omega (c/L)",
-            ylabel="intracavity intensity",
-            title="intracavity intensities, left-side drive",
-            logy=True,
-        )
-        return [("profile.csv", columns)], ("line_plot", (curves.omega, series), labels)
+        return [("profile.csv", columns)]
 
-    return _sampled("profile", config, setup, out_dir, svg, grid_points, DEFAULT_GRID_POINTS, compute)
+    series = [
+        ("scattering left", "scat_left"),
+        ("scattering right", "scat_right"),
+        ("coupled left", "coupled_left"),
+        ("coupled right", "coupled_right"),
+    ]
+    plot = _line_plot(
+        "profile.csv",
+        series,
+        xlabel="omega (c/L)",
+        ylabel="intracavity intensity",
+        title="intracavity intensities, left-side drive",
+        logy=True,
+    )
+    return _sampled("profile", config, setup, out_dir, svg, grid_points, DEFAULT_GRID_POINTS, compute, plot)
 
 
 def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Fiber intensity vs (omega, phi) -> darkmode.csv, darkmode_fit.csv [darkmode.svg]."""
     setup = _cascade(config, "darkmode")
     phase = config.phase_grid
+    phis = np.linspace(phase.min, phase.max, phase.points)
 
     def compute(omega):
-        scan = dark_mode_scan(setup.stack, omega, np.linspace(phase.min, phase.max, phase.points))
-        n_omega, n_phi = scan.intensity.shape
+        scan = dark_mode_scan(setup.stack, omega, phis)
         closed_form = scan.c0[:, None] + scan.c1[:, None] * np.cos(scan.phi_grid - scan.phi0[:, None])
         scan_columns = [
-            ("omega", np.repeat(scan.omega_grid, n_phi)),
-            ("phi", np.tile(scan.phi_grid, n_omega)),
+            ("omega", np.repeat(scan.omega_grid, phis.size)),
+            ("phi", np.tile(scan.phi_grid, omega.size)),
             ("fiber_intensity", scan.intensity.reshape(-1)),
         ]
         fit_columns = [
@@ -264,11 +328,15 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
             ("residual", np.max(np.abs(scan.intensity - closed_form), axis=1)),
             ("phi_min", np.remainder(scan.phi0, 2 * math.pi) - math.pi),
         ]
-        labels = dict(xlabel="omega (c/L)", ylabel="phi (rad)", title="fiber intensity (log scale)", logz=True)
-        tables = [("darkmode.csv", scan_columns), ("darkmode_fit.csv", fit_columns)]
-        return tables, ("heat_map", (scan.omega_grid, scan.phi_grid, scan.intensity), labels)
+        return [("darkmode.csv", scan_columns), ("darkmode_fit.csv", fit_columns)]
 
-    return _sampled("darkmode", config, setup, out_dir, svg, grid_points, DARKMODE_DEFAULT_POINTS, compute)
+    def plot(tables):
+        omega = tables["darkmode_fit.csv"]["omega"]
+        intensity = tables["darkmode.csv"]["fiber_intensity"].reshape(omega.size, phis.size)
+        labels = dict(xlabel="omega (c/L)", ylabel="phi (rad)", title="fiber intensity (log scale)", logz=True)
+        return "heat_map", (omega, phis, intensity), labels
+
+    return _sampled("darkmode", config, setup, out_dir, svg, grid_points, DARKMODE_DEFAULT_POINTS, compute, plot)
 
 
 def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):

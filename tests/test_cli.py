@@ -563,6 +563,35 @@ class TestCollapsedGrid:
         assert "the default window at geometry.zeta = 1000000000000.0 (4001 points over [31.4" in output
 
 
+class TestUnevenGrid:
+    """A grid whose float64 steps spread by more than 1% of its step is a configuration error, not a skewed map."""
+
+    def run(self, tmp_path, zeta):
+        geometry = {"zeta": zeta, "cavity_length": 1.0, "fiber_length": 5.0, "cavity_order": 10}
+        raw = cascade_config(tmp_path / "out", geometry=geometry)
+        return CliRunner().invoke(main, ["darkmode", "--config", str(write_config(tmp_path, raw))])
+
+    # darkmode's 401-point default window: its steps spread by 7.5% of the step at 1e11, 75% at 1e12
+    @pytest.mark.parametrize("zeta", [1e11, 1e12])
+    def test_default_darkmode_window(self, tmp_path, zeta):
+        result = self.run(tmp_path, zeta)
+        assert result.exit_code == 2, result.output
+        grid = default_omega_window(build_cascade(zeta, 1.0, 5.0, 10), 401)
+        steps = np.diff(grid)
+        ends = f"[{float(grid[0])!r}, {float(grid[-1])!r}]"
+        where = f"the grid from the default window at geometry.zeta = {zeta!r} (401 points over {ends})"
+        assert result.output.startswith(f"configuration error: darkmode: {where} is unevenly spaced")
+        assert f"its steps run from {steps.min():.3g} to {steps.max():.3g}" in result.output
+        assert f"the float64 spacing at its top is {np.spacing(grid[-1]):.3g}" in result.output
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_spread_below_one_percent_runs(self, tmp_path):
+        # 0.75% of the step at 1e10
+        result = self.run(tmp_path, 1e10)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "darkmode.csv").is_file()
+
+
 class TestStartup:
     def test_delta_runs_without_scipy(self, tmp_path):
         # scipy.optimize was most of the CLI's import time; only lorentzian_fit imports it now.
