@@ -133,7 +133,7 @@ def _write(out_dir: Path, command: str, resolved: dict, tables, plot, svg: bool)
     ``plot`` is (``svgplot`` function name, positional arguments, labels).
     """
     paths = [write_csv(out_dir / name, columns, __version__, resolved) for name, columns in tables]
-    tables.clear()  # a plot is a run's memory peak, so the written columns are freed first
+    tables.clear()  # the written columns that the plot does not draw are freed before it runs
     if svg:
         from . import svgplot
 

@@ -1,4 +1,14 @@
-"""Minimal hand-rolled SVG plots: no rendering dependency, deterministic output."""
+"""Minimal hand-rolled SVG plots: no rendering dependency, deterministic output.
+
+Each plot is written to its file element by element as it is drawn, so no
+plot holds its SVG text in memory; a plot that fails leaves no file behind.
+Points are prepared as numpy arrays, not as per-sample Python objects, and
+a polyline's points are formatted a chunk of rows at a time.  Log10 goes
+through ``math.log10`` on the kept samples, because ``np.log10`` can differ
+from it in the last bit and that would change the bytes.  Formatting is
+still one ``"{:.6g}"`` pair per sample, O(samples) rather than O(pixels),
+until line plots are decimated to pixel columns.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +27,7 @@ _COLORS = ("#1b1b1b", "#c82020", "#2050c8", "#208040", "#b06000", "#707070")
 _N_TICKS = 5
 _RAMP_STOPS = np.array([(20, 20, 90), (40, 90, 180), (240, 230, 80), (200, 40, 30)])
 _MAX_CELLS = 240  # heat_map strides larger grids down to at most this many cells per axis
+_CHUNK_POINTS = 4096  # polyline points formatted and written per chunk
 
 
 def _fmt(v: float) -> str:
@@ -29,45 +40,91 @@ def _ticks(lo: float, hi: float, n: int = _N_TICKS) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _finite(name: str, a: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        i = np.unravel_index(bad[0], a.shape)
+        where = ", ".join(map(str, i))
+        raise ValueError(
+            f"{name} must be finite: it holds {bad.size} non-finite value(s), the first {float(a[i])} at index {where}"
+        )
+
+
 class _Canvas:
-    def __init__(self, title: str, meta: str = ""):
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        ]
-        if meta:
-            # a comment may not hold "--"; in JSON it only occurs inside strings, where "-\\u002d" reads back as "--"
-            self.parts.append("<!-- " + meta.replace("--", "-\\u002d") + " -->")
-        self.parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-        if title:
-            self.text(_WIDTH / 2, _MARGIN_T - 14, title, anchor="middle", size=14)
+    """An SVG file open for writing: ``with _Canvas(path, title, meta) as canvas:``.
+
+    Entering writes the header, the meta comment, the background and the
+    title; a clean exit writes ``</svg>`` and closes the file.  If an
+    exception escapes, the file is closed and removed.
+    """
+
+    def __init__(self, path, title: str, meta: str = ""):
+        self.path = Path(path)
+        self.title = title
+        self.meta = meta
+
+    def __enter__(self):
+        self._file = open(self.path, "w", encoding="utf-8")
+        try:
+            self.add(
+                f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+                f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+            )
+            if self.meta:
+                # a comment may not hold "--"; in JSON it only occurs inside strings,
+                # where "-\\u002d" reads back as "--"
+                self.add("<!-- " + self.meta.replace("--", "-\\u002d") + " -->")
+            self.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+            if self.title:
+                self.text(_WIDTH / 2, _MARGIN_T - 14, self.title, anchor="middle", size=14)
+        except BaseException:
+            self._discard()
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            self.add("</svg>")
+            self._file.close()
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self):
+        try:
+            self._file.close()
+        finally:
+            self.path.unlink(missing_ok=True)
+
+    def add(self, element: str):
+        self._file.write(element + "\n")
 
     def text(self, x, y, s, *, anchor="start", size=11, rotate=None):
         transform = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
-        self.parts.append(
+        self.add(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="{size}" '
             f'text-anchor="{anchor}"{transform}>{s}</text>'
         )
 
     def line(self, x1, y1, x2, y2, color="#000000", width=1.0):
-        self.parts.append(
+        self.add(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def polyline(self, points, color, width=1.3):
-        if len(points) < 2:
-            return
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
-        )
-
-    def write(self, path) -> Path:
-        path = Path(path)
-        self.parts.append("</svg>")
-        path.write_text("\n".join(self.parts) + "\n", encoding="utf-8")
-        return path
+    def polyline(self, px: np.ndarray, py: np.ndarray, color, width=1.3):
+        """The points (px[i], py[i]), written ``_CHUNK_POINTS`` at a time."""
+        write = self._file.write
+        write('<polyline points="')
+        for start in range(0, px.size, _CHUNK_POINTS):
+            if start:
+                write(" ")
+            stop = start + _CHUNK_POINTS
+            write(" ".join(map("{:.6g},{:.6g}".format, px[start:stop].tolist(), py[start:stop].tolist())))
+        write(f'" fill="none" stroke="{color}" stroke-width="{width}"/>\n')
 
 
 def _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy):
@@ -91,98 +148,107 @@ def _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy):
     return x0, x1, y0, y1
 
 
+def _plotted(values, n: int, logy: bool) -> np.ndarray:
+    """``values`` as plotted y (log10 with ``logy``), nan where a segment breaks."""
+    v = np.asarray(values, dtype=float)  # None reads as nan
+    if v.shape != (n,):
+        raise ValueError(f"each series needs one value per x sample: shape {v.shape}, x has {n}")
+    keep = np.isfinite(v)
+    if logy:
+        keep &= v > 0
+    y = np.full(n, np.nan)
+    kept = v[keep]
+    y[keep] = np.fromiter(map(math.log10, kept.tolist()), float, kept.size) if logy else kept
+    return y
+
+
 def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, meta="") -> Path:
     """Overlayed line plot; series is a list of (label, values) pairs.
 
-    With ``logy`` nonpositive samples are dropped (segments break there).
+    Non-finite or ``None`` samples, and with ``logy`` nonpositive ones, break
+    a line into segments; ``x`` must be finite.
     """
-    x = list(x)
-    prepared = []
-    for label, values in series:
-        pts = []
-        for xi, vi in zip(x, values):
-            if vi is None or not math.isfinite(vi) or (logy and vi <= 0):
-                pts.append(None)
-            else:
-                pts.append((xi, math.log10(vi) if logy else vi))
-        prepared.append((label, pts))
+    with _Canvas(path, title, meta) as canvas:
+        x = np.asarray(x, dtype=float)
+        _finite("x", x)
+        prepared = [(label, _plotted(values, x.size, logy)) for label, values in series]
+        # fmin/fmax skip the nan breaks; a series with no kept sample gives (inf, -inf)
+        ylo = min((float(np.fmin.reduce(y, initial=np.inf)) for _, y in prepared), default=math.inf)
+        yhi = max((float(np.fmax.reduce(y, initial=-np.inf)) for _, y in prepared), default=-math.inf)
+        if ylo > yhi:
+            raise ValueError("nothing to plot")
+        if yhi == ylo:
+            ylo, yhi = ylo - 0.5, yhi + 0.5
+        xlo, xhi = float(x.min()), float(x.max())
+        if xhi == xlo:
+            xlo, xhi = xlo - 0.5, xhi + 0.5
+        for name, lo, hi in (("x", xlo, xhi), ("y", ylo, yhi)):
+            if not 0 < hi - lo < math.inf:  # else every coordinate would be nan
+                raise ValueError(f"the {name} range [{lo!r}, {hi!r}] has no finite nonzero width in float64")
 
-    ys = [p[1] for _, pts in prepared for p in pts if p is not None]
-    if not ys:
-        raise ValueError("nothing to plot")
-    ylo, yhi = min(ys), max(ys)
-    if yhi == ylo:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
-    xlo, xhi = min(x), max(x)
-    if xhi == xlo:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-
-    canvas = _Canvas(title, meta)
-    x0, x1, y0, y1 = _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy)
-
-    def to_px(point):
-        px = x0 + (point[0] - xlo) / (xhi - xlo) * (x1 - x0)
-        py = y0 + (point[1] - ylo) / (yhi - ylo) * (y1 - y0)
-        return px, py
-
-    for idx, (label, pts) in enumerate(prepared):
-        color = _COLORS[idx % len(_COLORS)]
-        segment = []
-        for p in pts:
-            if p is None:
-                canvas.polyline(segment, color)
-                segment = []
-            else:
-                segment.append(to_px(p))
-        canvas.polyline(segment, color)
-        ly = _MARGIN_T + 16 + 16 * idx
-        canvas.line(x1 - 132, ly - 4, x1 - 112, ly - 4, color, 2.0)
-        canvas.text(x1 - 106, ly, label)
-    return canvas.write(path)
+        x0, x1, y0, y1 = _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy)
+        for idx, (label, y) in enumerate(prepared):
+            color = _COLORS[idx % len(_COLORS)]
+            edges = np.flatnonzero(np.diff(~np.isnan(y), prepend=False, append=False))
+            for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+                if stop - start >= 2:
+                    px = x0 + (x[start:stop] - xlo) / (xhi - xlo) * (x1 - x0)
+                    py = y0 + (y[start:stop] - ylo) / (yhi - ylo) * (y1 - y0)
+                    canvas.polyline(px, py, color)
+            ly = _MARGIN_T + 16 + 16 * idx
+            canvas.line(x1 - 132, ly - 4, x1 - 112, ly - 4, color, 2.0)
+            canvas.text(x1 - 106, ly, label)
+    return canvas.path
 
 
 def _ramp(t):
     """Dark blue -> red colors '#rrggbb' for an array of t in [0, 1] (clipped)."""
     t = np.clip(t, 0.0, 1.0) * (len(_RAMP_STOPS) - 1)
     i = np.minimum(t.astype(int), len(_RAMP_STOPS) - 2)
-    f = (t - i)[..., None]
-    lo, hi = _RAMP_STOPS[i], _RAMP_STOPS[i + 1]
-    rgb = np.rint(lo + (hi - lo) * f).astype(int)  # rint rounds half to even, like round()
-    codes, inverse = np.unique((rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2], return_inverse=True)
+    f = t - i
+    del t
+    code = np.zeros(i.shape, dtype=int)
+    for stops in _RAMP_STOPS.T.astype(float):  # one channel at a time, red first: stop + (next - stop) * f
+        channel = np.diff(stops)[i]
+        channel *= f
+        channel += stops[:-1][i]
+        code <<= 8
+        code |= np.rint(channel, out=channel).astype(int)  # rint rounds half to even, like round()
+    del i, f, channel
+    codes, inverse = np.unique(code, return_inverse=True)
     names = np.array([f"#{c:06x}" for c in codes.tolist()], dtype=object)
-    return names[inverse.reshape(t.shape)]
+    return names[inverse.reshape(code.shape)]
 
 
 def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, meta="") -> Path:
     """Colored-cell map of values[i][j] over (x[i], y[j]); large grids are strided."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(values, dtype=float)
-    sx = max(1, int(math.ceil(x.size / _MAX_CELLS)))
-    sy = max(1, int(math.ceil(y.size / _MAX_CELLS)))
-    x, y, z = x[::sx], y[::sy], z[::sx, ::sy]
-    if logz:
-        floor = z[z > 0].min() if np.any(z > 0) else 1.0
-        z = np.log10(np.maximum(z, floor))
-    zlo, zhi = float(z.min()), float(z.max())
-    if zhi == zlo:
-        zhi = zlo + 1.0
+    with _Canvas(path, title, meta) as canvas:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        z = np.asarray(values, dtype=float)
+        for name, a in (("x", x), ("y", y), ("values", z)):
+            _finite(name, a)
+        sx = max(1, int(math.ceil(x.size / _MAX_CELLS)))
+        sy = max(1, int(math.ceil(y.size / _MAX_CELLS)))
+        x, y, z = x[::sx], y[::sy], z[::sx, ::sy]
+        if logz:
+            floor = z[z > 0].min() if np.any(z > 0) else 1.0
+            z = np.log10(np.maximum(z, floor))
+        zlo, zhi = float(z.min()), float(z.max())
+        if zhi == zlo:
+            zhi = zlo + 1.0
 
-    canvas = _Canvas(title, meta)
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    cw = (x1 - x0) / x.size
-    ch = (y0 - y1) / y.size
-    colors = _ramp((z - zlo) / (zhi - zlo)).tolist()
-    xs = [_fmt(x0 + i * cw) for i in range(x.size)]
-    ys = [_fmt(y0 - (j + 1) * ch) for j in range(y.size)]
-    size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
-    canvas.parts.extend(
-        f'<rect x="{px}" y="{py}" {size} fill="{color}"/>'
-        for px, row in zip(xs, colors)
-        for py, color in zip(ys, row)
-    )
-    _axes(canvas, float(x.min()), float(x.max()), float(y.min()), float(y.max()), xlabel, ylabel, False)
-    scale_label = "log10" if logz else "linear"
-    canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
-    return canvas.write(path)
+        x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
+        y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
+        cw = (x1 - x0) / x.size
+        ch = (y0 - y1) / y.size
+        colors = _ramp((z - zlo) / (zhi - zlo))
+        size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
+        y_parts = [f'{_fmt(y0 - (j + 1) * ch)}" {size} fill="' for j in range(y.size)]
+        for i, row in enumerate(colors):  # one string per x column, one line per cell
+            head = f'<rect x="{_fmt(x0 + i * cw)}" y="'
+            canvas.add(head + ('"/>\n' + head).join(map(str.__add__, y_parts, row.tolist())) + '"/>')
+        _axes(canvas, float(x.min()), float(x.max()), float(y.min()), float(y.max()), xlabel, ylabel, False)
+        scale_label = "log10" if logz else "linear"
+        canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
+    return canvas.path

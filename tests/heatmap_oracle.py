@@ -6,6 +6,7 @@ package's own, so this checks the cells only.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -23,9 +24,7 @@ def ramp(t: float) -> str:
 
 
 def rect(canvas, x, y, w, h, color):
-    canvas.parts.append(
-        f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="{color}"/>'
-    )
+    canvas.add(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="{color}"/>')
 
 
 def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, max_cells=240, meta=""):
@@ -43,16 +42,16 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
     if zhi == zlo:
         zhi = zlo + 1.0
 
-    canvas = _Canvas(title, meta)
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    cw = (x1 - x0) / x.size
-    ch = (y0 - y1) / y.size
-    for i in range(x.size):
-        for j in range(y.size):
-            t = (z[i, j] - zlo) / (zhi - zlo)
-            rect(canvas, x0 + i * cw, y0 - (j + 1) * ch, cw + 0.5, ch + 0.5, ramp(t))
-    _axes(canvas, float(x.min()), float(x.max()), float(y.min()), float(y.max()), xlabel, ylabel, False)
-    scale_label = "log10" if logz else "linear"
-    canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
-    return canvas.write(path)
+    with _Canvas(path, title, meta) as canvas:
+        x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
+        y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
+        cw = (x1 - x0) / x.size
+        ch = (y0 - y1) / y.size
+        for i in range(x.size):
+            for j in range(y.size):
+                t = (z[i, j] - zlo) / (zhi - zlo)
+                rect(canvas, x0 + i * cw, y0 - (j + 1) * ch, cw + 0.5, ch + 0.5, ramp(t))
+        _axes(canvas, float(x.min()), float(x.max()), float(y.min()), float(y.max()), xlabel, ylabel, False)
+        scale_label = "log10" if logz else "linear"
+        canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
+    return Path(path)

@@ -1,4 +1,4 @@
-"""The block writer and the vectorized heat map write the same bytes as the per-cell code."""
+"""The block writer and the vectorized plots write the same bytes as the per-cell code."""
 
 import csv
 import io
@@ -10,6 +10,7 @@ import pytest
 
 import csv_oracle
 import heatmap_oracle
+import lineplot_oracle
 from cascavity import __version__, build_cascade, dark_mode_scan, default_omega_window, output, runs, svgplot
 from cascavity.config import parse_config
 
@@ -311,9 +312,11 @@ def test_every_command_matches_per_cell_writer(tmp_path, monkeypatch, drive):
     block = run_all(tmp_path / "block")
     monkeypatch.setattr(runs, "write_csv", csv_oracle.write_csv)
     monkeypatch.setattr(svgplot, "heat_map", heatmap_oracle.heat_map)
+    monkeypatch.setattr(svgplot, "line_plot", lineplot_oracle.line_plot)
     per_cell = run_all(tmp_path / "per_cell")
     assert block.keys() == per_cell.keys()
     assert {"spectrum.csv", "delta.csv", "profile.csv", "darkmode.csv", "darkmode_fit.csv"} <= set(block)
+    assert {"spectrum.svg", "delta.svg", "profile.svg", "darkmode.svg"} <= set(block)
     for name in block:
         assert block[name] == per_cell[name], name
 
