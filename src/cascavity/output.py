@@ -17,10 +17,9 @@ numeric arrays (int and bool too, written as floats) and whose cells are all
 finite is written from one ``orjson.dumps`` of its float64 cells, flattened
 row by row: the text ``[a,b,c,d]`` is copied once into a ``bytearray``, and
 every ncol-th comma and the closing bracket are set to a newline in place,
-which gives ``a,b\\nc,d\\n`` after the opening bracket.  Every other block is
-formatted column by column and joined per row: a numeric array column by one
-``orjson.dumps`` too, any other column (lists, tuples, object arrays) by
-``format_value`` per cell.
+which gives ``a,b\\nc,d\\n`` after the opening bracket.  Every other block (one
+that holds nan or inf, or a list, tuple or object-array column) is written
+cell by cell through ``format_value``.
 """
 
 from __future__ import annotations
@@ -39,12 +38,6 @@ _BLOCK_ROWS = 4096
 _QUOTED_CHARS = (",", '"', "\n", "\r")
 
 
-def _quote(s: str) -> str:
-    if any(c in s for c in _QUOTED_CHARS):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _dumps(x) -> bytes:
     # Imported on first use, not with the module: this keeps orjson out of the CLI's start-up.
     import orjson
@@ -57,11 +50,12 @@ def _format_float(v: float) -> str:
     return _dumps(v).decode("ascii") if math.isfinite(v) else repr(v)
 
 
-def _format_unquoted(v) -> str:
+def format_value(v) -> str:
+    """One CSV cell: None empty, text quoted if it must be, bool and int as such, any other number as a float."""
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
+    if isinstance(v, str):  # only text can hold a character that needs quoting
+        return '"' + v.replace('"', '""') + '"' if any(c in v for c in _QUOTED_CHARS) else v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -69,35 +63,9 @@ def _format_unquoted(v) -> str:
     return _format_float(float(v))
 
 
-def format_value(v) -> str:
-    return _quote(_format_unquoted(v))
-
-
-def format_floats(values) -> list[str]:
-    """``format_value`` of each element of a real numeric array, as float64."""
-    x = np.ascontiguousarray(values, dtype=float)
-    cells = _dumps(x)[1:-1].decode("ascii").split(",") if x.size else []
-    for i in np.flatnonzero(~np.isfinite(x)).tolist():
-        cells[i] = repr(float(x[i]))
-    return cells
-
-
-def _is_numeric_array(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
-
-
-def _format_block(block) -> list[str]:
-    if _is_numeric_array(block):
-        return format_floats(block)
-    cells = list(map(_format_unquoted, block))
-    # only str cells can hold a quoted character: scan the block once, not each cell
-    joined = "".join(cells)
-    return list(map(_quote, cells)) if any(c in joined for c in _QUOTED_CHARS) else cells
-
-
 def _block_bytes(cells, start: int) -> bytes | memoryview:
     blocks = [c[start : start + _BLOCK_ROWS] for c in cells]
-    if all(map(_is_numeric_array, blocks)):
+    if all(isinstance(b, np.ndarray) and b.dtype.kind in "biuf" for b in blocks):
         x = np.column_stack([b.astype(float, copy=False) for b in blocks])
         if np.isfinite(x).all():
             # "[a,b,c,d]" -> "a,b\nc,d\n": every ncol-th comma and the closing bracket end a row;
@@ -108,8 +76,7 @@ def _block_bytes(cells, start: int) -> bytes | memoryview:
             buf[np.flatnonzero(buf == ord(","))[ncol - 1 :: ncol]] = ord("\n")
             buf[-1] = ord("\n")
             return memoryview(text)[1:]
-    rows = zip(*map(_format_block, blocks))
-    return ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
+    return "".join(",".join(map(format_value, row)) + "\n" for row in zip(*blocks)).encode("utf-8")
 
 
 def config_json(resolved_config: dict) -> str:

@@ -21,11 +21,12 @@ pipeline, ``_sampled``, whose stages run in this order:
    column, and ``_write`` draws it from the full tables.
 
 ``delta`` has no grid and goes straight to ``_write``; ``match`` writes one
-JSON file.  Each stage looks up the layer entry points it calls
-(``write_csv``, ``write_json``, ``dark_mode_scan``, ``intensity_comparison``,
-``peak_separation_delta`` here; ``line_plot`` and ``heat_map`` in ``svgplot``)
-as module attributes when it runs, and never keeps them in a table built at
-import: the benchmark tracer (``perfbench/spans.py``) times each layer by
+JSON file.  Every cascaded run builds its models with ``_cascade_at``,
+``delta`` at each zeta of its grid.  Each stage looks up the layer entry
+points it calls (``write_csv``, ``write_json``, ``dark_mode_scan``,
+``intensity_comparison``, ``peak_separation_delta`` here; ``line_plot`` and
+``heat_map`` in ``svgplot``) as module attributes when it runs, and never
+keeps them in a table built at import: the benchmark tracer (``perfbench/spans.py``) times each layer by
 patching those attributes, and a runner captured early would record no span.
 The CLI looks up ``run_<command>`` in this module the same way, so a test can
 monkeypatch a runner.  ``svgplot`` is imported only when a plot is drawn.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, FieldDrive, PumpDrive, SweepConfig
 from .errors import ConfigError
-from .matching import eta_from_input, kappa_from_geometry
+from .matching import eta_from_input
 from .output import config_json, write_csv, write_json
 from .spectra import (
     DEFAULT_GRID_POINTS,
@@ -76,21 +78,17 @@ def _resolve_drive(drive: FieldDrive | PumpDrive, kappa: float):
     return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r
 
 
-def _cascaded_geometry(config: ExperimentConfig, command: str):
-    if config.geometry.single_cavity:
+def _cascade_at(config: ExperimentConfig, command: str):
+    """``zeta -> CascadeSetup``: the configured four-mirror stack and its matched mode system at that zeta."""
+    geo = config.geometry
+    if geo.single_cavity:
         raise ConfigError(f"{command} runs require the cascaded geometry")
-    return config.geometry
-
-
-def _cascade(config: ExperimentConfig, command: str):
-    """The configured four-mirror stack and its matched mode system."""
-    geo = _cascaded_geometry(config, command)
-    return build_cascade(
-        geo.zeta,
-        geo.cavity_length,
-        geo.fiber_length,
-        geo.cavity_order,
-        geo.fiber_order,
+    return partial(
+        build_cascade,
+        l_c=geo.cavity_length,
+        l_f=geo.fiber_length,
+        n_c=geo.cavity_order,
+        n_f=geo.fiber_order,
         fiber_alignment=config.fiber_alignment,
     )
 
@@ -200,17 +198,18 @@ def _line_plot(table: str, series, **labels):
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Transmission spectra of the selected model(s) -> spectrum.csv [spectrum.svg]."""
     geo = config.geometry
-    kappa = kappa_from_geometry(geo.zeta, geo.cavity_length)
-    a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, kappa)
+    if geo.single_cavity:
+        setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
+    else:
+        setup = _cascade_at(config, "spectrum")(geo.zeta)
+    a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, setup.system.kappa)
     if a_in == 0 and config.model != "coupled":
         raise ConfigError("the scattering spectrum needs a left drive: drive.a_in (or drive.eta_l) must be > 0")
     if not geo.single_cavity:
-        setup = _cascade(config, "spectrum")
         pumps = (eta_l, eta_r * cmath.exp(-1j * phase))
     elif d_in != 0.0:
         raise ConfigError("single_cavity runs support left-side drive only: drive.d_in (or drive.eta_r) must be 0")
     else:
-        setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
         pumps = (0.0, eta_l)  # the single cavity is the measured mode b
 
     d_drive = d_in * np.exp(-1j * phase)
@@ -242,14 +241,7 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
             "delta runs do not read 'sweep': the resonances are poles, found without a frequency grid"
             " (--grid-points has no effect either)"
         )
-    geo = _cascaded_geometry(config, "delta")
-    entries = peak_separation_delta(
-        config.zeta_grid,
-        geo.cavity_length,
-        geo.fiber_length,
-        geo.cavity_order,
-        fiber_alignment=config.fiber_alignment,
-    )
+    entries = peak_separation_delta(config.zeta_grid, _cascade_at(config, "delta"))
     columns = [
         ("zeta", [e.zeta for e in entries]),
         ("delta_left", [e.delta_left for e in entries]),
@@ -276,7 +268,7 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
 
 def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Intracavity intensity curves for both models -> profile.csv [profile.svg]."""
-    setup = _cascade(config, "profile")
+    setup = _cascade_at(config, "profile")(config.geometry.zeta)
 
     def compute(grid):
         curves = intensity_comparison(setup, grid)
@@ -308,7 +300,7 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
 
 def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Fiber intensity vs (omega, phi) -> darkmode.csv, darkmode_fit.csv [darkmode.svg]."""
-    setup = _cascade(config, "darkmode")
+    setup = _cascade_at(config, "darkmode")(config.geometry.zeta)
     phase = config.phase_grid
     phis = np.linspace(phase.min, phase.max, phase.points)
 
@@ -341,7 +333,7 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
 
 def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Matched coupled-mode parameters with formula provenance -> params.json."""
-    setup = _cascade(config, "match")
+    setup = _cascade_at(config, "match")(config.geometry.zeta)
     match = setup.match
     a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, match.kappa)
     payload = {

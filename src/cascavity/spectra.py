@@ -14,18 +14,20 @@ drive is an argument of each sweep, field amplitudes for the scattering
 model and complex pumps for the coupled model.
 
 ``peak_separation_delta`` compares the models' resonances as complex poles,
-without a sweep: the coupled poles are the closed-form eigenvalues of the
-damped three-mode matrix (``mode_poles``), and the scattering poles are the
-zeros of the stack's m22, found by Newton's method from them
-(``transmission_poles``).  ``find_peaks`` and ``lorentzian_fit`` remain for
-sampled spectra; scipy is imported only inside ``lorentzian_fit``.
+without a sweep, on the cascade its caller builds at each zeta (``delta``
+builds it from the whole configured geometry, ``fiber_order`` included):
+the coupled poles are the closed-form eigenvalues of the damped three-mode
+matrix (``mode_poles``), and the scattering poles are the zeros of the
+stack's m22, found by Newton's method from them (``transmission_poles``).
+``find_peaks`` and ``lorentzian_fit`` remain for sampled spectra; scipy is
+imported only inside ``lorentzian_fit``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -425,27 +427,20 @@ class DeltaEntry:
         return 0.5 * (self.delta_left + self.delta_right)
 
 
-def peak_separation_delta(
-    zeta_grid: Sequence[float],
-    l_c: float,
-    l_f: float,
-    n_c: int,
-    *,
-    fiber_alignment: str = "resonant",
-) -> list[DeltaEntry]:
+def peak_separation_delta(zeta_grid: Sequence[float], setup_at: Callable[[float], CascadeSetup]) -> list[DeltaEntry]:
     """Side-to-middle resonance distances, scattering minus coupled, per zeta.
 
-    The coupled resonances are the closed-form ``mode_poles`` of the matched
-    system; the scattering resonances are the stack's ``transmission_poles``,
-    found by Newton's method from them.  No frequency grid is involved.  A
-    failed pole search produces an entry with an error message; the loop
-    continues.
+    ``setup_at(zeta)`` returns the cascade at each zeta.  The coupled
+    resonances are the closed-form ``mode_poles`` of its matched system; the
+    scattering resonances are its stack's ``transmission_poles``, found by
+    Newton's method from them.  No frequency grid is involved.  A failed pole
+    search produces an entry with an error message; the loop continues.
     """
     entries = []
     for zeta in zeta_grid:
         if not zeta > 1:
             raise InvalidParameterError(f"peak separation needs zeta > 1, got {zeta!r}")
-        setup = build_cascade(zeta, l_c, l_f, n_c, fiber_alignment=fiber_alignment)
+        setup = setup_at(zeta)
         coupled = mode_poles(setup.system)
         try:
             poles, error = np.sort_complex(transmission_poles(setup.stack, coupled)), None

@@ -1,7 +1,9 @@
 """Minimal hand-rolled SVG plots: no rendering dependency, deterministic output.
 
 Each plot is written to its file element by element as it is drawn, so no
-plot holds its SVG text in memory; a plot that fails leaves no file behind.
+plot holds its SVG text in memory.  Both plotters open their file through
+``_canvas``, which writes the frame around the plot and removes the file if
+the plot fails, and take their axis spans from ``_axis_range``.
 Points are prepared as numpy arrays, not as per-sample Python objects, and
 a polyline's points are formatted a chunk of rows at a time.  Log10 goes
 through ``math.log10`` on the kept samples, because ``np.log10`` can differ
@@ -12,6 +14,7 @@ until line plots are decimated to pixel columns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from pathlib import Path
 
@@ -50,54 +53,41 @@ def _finite(name: str, a: np.ndarray) -> None:
         )
 
 
-class _Canvas:
-    """An SVG file open for writing: ``with _Canvas(path, title, meta) as canvas:``.
+@contextlib.contextmanager
+def _canvas(path, title: str, meta: str = ""):
+    """An SVG file open for drawing: ``with _canvas(path, title, meta) as canvas:``.
 
-    Entering writes the header, the meta comment, the background and the
-    title; a clean exit writes ``</svg>`` and closes the file.  If an
-    exception escapes, the file is closed and removed.
+    The header, meta comment, background and title come before the drawing
+    and ``</svg>`` after it; if an exception escapes, the file is removed.
     """
-
-    def __init__(self, path, title: str, meta: str = ""):
-        self.path = Path(path)
-        self.title = title
-        self.meta = meta
-
-    def __enter__(self):
-        self._file = open(self.path, "w", encoding="utf-8")
-        try:
-            self.add(
+    path = Path(path)
+    file = open(path, "w", encoding="utf-8")  # before the try: a file that cannot be opened is not removed
+    try:
+        with file:
+            canvas = _Canvas(file)
+            canvas.add(
                 f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
                 f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
             )
-            if self.meta:
+            if meta:
                 # a comment may not hold "--"; in JSON it only occurs inside strings,
                 # where "-\\u002d" reads back as "--"
-                self.add("<!-- " + self.meta.replace("--", "-\\u002d") + " -->")
-            self.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-            if self.title:
-                self.text(_WIDTH / 2, _MARGIN_T - 14, self.title, anchor="middle", size=14)
-        except BaseException:
-            self._discard()
-            raise
-        return self
+                canvas.add("<!-- " + meta.replace("--", "-\\u002d") + " -->")
+            canvas.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+            if title:
+                canvas.text(_WIDTH / 2, _MARGIN_T - 14, title, anchor="middle", size=14)
+            yield canvas
+            canvas.add("</svg>")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            self._discard()
-            return
-        try:
-            self.add("</svg>")
-            self._file.close()
-        except BaseException:
-            self._discard()
-            raise
 
-    def _discard(self):
-        try:
-            self._file.close()
-        finally:
-            self.path.unlink(missing_ok=True)
+class _Canvas:
+    """Writes SVG elements, one per line, to an open text file."""
+
+    def __init__(self, file):
+        self._file = file
 
     def add(self, element: str):
         self._file.write(element + "\n")
@@ -148,6 +138,15 @@ def _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy):
     return x0, x1, y0, y1
 
 
+def _axis_range(name: str, lo: float, hi: float) -> tuple[float, float]:
+    """The span an axis draws for data in [lo, hi]: a zero width is widened by +-0.5."""
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    if not 0 < hi - lo < math.inf:  # else every coordinate would be nan
+        raise ValueError(f"the {name} range [{lo!r}, {hi!r}] has no finite nonzero width in float64")
+    return lo, hi
+
+
 def _plotted(values, n: int, logy: bool) -> np.ndarray:
     """``values`` as plotted y (log10 with ``logy``), nan where a segment breaks."""
     v = np.asarray(values, dtype=float)  # None reads as nan
@@ -168,7 +167,7 @@ def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, me
     Non-finite or ``None`` samples, and with ``logy`` nonpositive ones, break
     a line into segments; ``x`` must be finite.
     """
-    with _Canvas(path, title, meta) as canvas:
+    with _canvas(path, title, meta) as canvas:
         x = np.asarray(x, dtype=float)
         _finite("x", x)
         prepared = [(label, _plotted(values, x.size, logy)) for label, values in series]
@@ -177,14 +176,8 @@ def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, me
         yhi = max((float(np.fmax.reduce(y, initial=-np.inf)) for _, y in prepared), default=-math.inf)
         if ylo > yhi:
             raise ValueError("nothing to plot")
-        if yhi == ylo:
-            ylo, yhi = ylo - 0.5, yhi + 0.5
-        xlo, xhi = float(x.min()), float(x.max())
-        if xhi == xlo:
-            xlo, xhi = xlo - 0.5, xhi + 0.5
-        for name, lo, hi in (("x", xlo, xhi), ("y", ylo, yhi)):
-            if not 0 < hi - lo < math.inf:  # else every coordinate would be nan
-                raise ValueError(f"the {name} range [{lo!r}, {hi!r}] has no finite nonzero width in float64")
+        xlo, xhi = _axis_range("x", float(x.min()), float(x.max()))
+        ylo, yhi = _axis_range("y", ylo, yhi)
 
         x0, x1, y0, y1 = _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy)
         for idx, (label, y) in enumerate(prepared):
@@ -198,7 +191,7 @@ def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, me
             ly = _MARGIN_T + 16 + 16 * idx
             canvas.line(x1 - 132, ly - 4, x1 - 112, ly - 4, color, 2.0)
             canvas.text(x1 - 106, ly, label)
-    return canvas.path
+    return Path(path)
 
 
 def _ramp(t):
@@ -222,7 +215,7 @@ def _ramp(t):
 
 def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, meta="") -> Path:
     """Colored-cell map of values[i][j] over (x[i], y[j]); large grids are strided."""
-    with _Canvas(path, title, meta) as canvas:
+    with _canvas(path, title, meta) as canvas:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(values, dtype=float)
@@ -234,6 +227,8 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
         if logz:
             floor = z[z > 0].min() if np.any(z > 0) else 1.0
             z = np.log10(np.maximum(z, floor))
+        xlo, xhi = _axis_range("x", float(x.min()), float(x.max()))
+        ylo, yhi = _axis_range("y", float(y.min()), float(y.max()))
         zlo, zhi = float(z.min()), float(z.max())
         if zhi == zlo:
             zhi = zlo + 1.0
@@ -248,7 +243,7 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
         for i, row in enumerate(colors):  # one string per x column, one line per cell
             head = f'<rect x="{_fmt(x0 + i * cw)}" y="'
             canvas.add(head + ('"/>\n' + head).join(map(str.__add__, y_parts, row.tolist())) + '"/>')
-        _axes(canvas, float(x.min()), float(x.max()), float(y.min()), float(y.max()), xlabel, ylabel, False)
+        _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, False)
         scale_label = "log10" if logz else "linear"
         canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
-    return canvas.path
+    return Path(path)

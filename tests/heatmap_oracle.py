@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cascavity.svgplot import _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH, _Canvas, _axes, _fmt
+from cascavity.svgplot import _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH, _axes, _canvas, _fmt
 
 
 def ramp(t: float) -> str:
@@ -42,7 +42,7 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
     if zhi == zlo:
         zhi = zlo + 1.0
 
-    with _Canvas(path, title, meta) as canvas:
+    with _canvas(path, title, meta) as canvas:
         x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
         y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
         cw = (x1 - x0) / x.size

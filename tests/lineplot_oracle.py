@@ -8,7 +8,7 @@ package's own, so this checks the points only.
 import math
 from pathlib import Path
 
-from cascavity.svgplot import _COLORS, _MARGIN_T, _Canvas, _axes, _fmt
+from cascavity.svgplot import _COLORS, _MARGIN_T, _axes, _canvas, _fmt
 
 
 def polyline(canvas, points, color, width=1.3):
@@ -44,7 +44,7 @@ def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, me
     if xhi == xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
 
-    with _Canvas(path, title, meta) as canvas:
+    with _canvas(path, title, meta) as canvas:
         x0, x1, y0, y1 = _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy)
 
         def to_px(point):

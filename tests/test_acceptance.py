@@ -99,7 +99,7 @@ def test_criterion_05_three_mirror_splitting():
 
 def test_criterion_06_cascaded_comparison():
     zetas = [3.0, 5.0, 8.0, 12.0, 20.0]
-    entries = peak_separation_delta(zetas, 1.0, 5.0, 10)
+    entries = peak_separation_delta(zetas, lambda z: build_cascade(z, 1.0, 5.0, 10))
     clean = all(e.error is None for e in entries)
     means = [abs(e.delta_mean) for e in entries]
     monotone = all(b < a for a, b in zip(means, means[1:]))

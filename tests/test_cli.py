@@ -17,6 +17,7 @@ from cascavity import (
     eta_from_input,
     g_from_geometry,
     kappa_from_geometry,
+    peak_separation_delta,
     sweep_coupled,
     sweep_scattering,
 )
@@ -249,6 +250,31 @@ class TestDeltaCommand:
         row = dict(zip(header, rows[0]))
         assert row["error"] == ""
         assert float(row["delta_mean_over_kappa"]) == pytest.approx(-0.0133, abs=5e-4)
+
+    @staticmethod
+    def _data_rows(tmp_path, **geometry) -> list[str]:
+        raw = cascade_config(tmp_path / "out", zeta_grid=[2.0, 5.0, 20.0])
+        raw["geometry"].update(geometry)
+        result = CliRunner().invoke(main, ["delta", "--config", str(write_config(tmp_path, raw))])
+        assert result.exit_code == 0, result.output
+        return [ln for ln in (tmp_path / "out" / "delta.csv").read_text().splitlines() if not ln.startswith("#")][1:]
+
+    def test_fiber_order_reaches_every_row(self, tmp_path):
+        """Each zeta's cascade is built from the whole geometry, the configured fiber order included."""
+        nearest = self._data_rows(tmp_path)
+        for order in (48, 50):
+            rows = self._data_rows(tmp_path, fiber_order=order)
+            entries = peak_separation_delta([2.0, 5.0, 20.0], lambda z: build_cascade(z, 1.0, 5.0, 10, order))
+            expected = [
+                [e.zeta, e.delta_left, e.delta_right, e.delta_mean, e.kappa, e.error or "", e.delta_mean / e.kappa]
+                + [-p.imag for p in (*e.scattering_poles, *e.coupled_poles)]
+                for e in entries
+            ]
+            assert [[float(c) if c else c for c in row.split(",")] for row in rows] == expected, order
+            if order == 48:
+                assert all(a != b for a, b in zip(rows, nearest))
+        # unset, the order is the nearest at each zeta: 50 at zeta = 5 and 20, but 51 at zeta = 2
+        assert rows[1:] == nearest[1:] and rows[0] != nearest[0]
 
     def test_grid_points_do_not_change_delta(self, tmp_path):
         # 50 points once ended the coarse-grid Lorentzian fit at max_nfev; poles need no grid

@@ -70,7 +70,7 @@ def neighbours(*values):
 
 # where a layout changes: orjson writes fixed notation in [1e-5, 1e16), repr (which the oracle
 # starts from) in [1e-4, 1e16), repr's exponent has two digits down to 1e-9, and orjson writes nan
-# and inf as null, which format_floats replaces with repr
+# and inf as null, which the per-cell formatter replaces with repr
 ORJSON_EDGES = neighbours(1e-4, -1e-4, 1e-5, -1e-5, 1e-9, -1e-9, 1e16, -1e16)
 FINITE_EDGES = [v for v in ORJSON_EDGES + SPECIAL_FLOATS if np.isfinite(v)]
 
@@ -96,7 +96,7 @@ def test_numeric_columns_match_per_cell_writer(tmp_path, monkeypatch, n):
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", everywhere)
     assert written(output.write_csv, tmp_path / "block.csv", everywhere) == expected
 
-    monkeypatch.setattr(output, "format_floats", None)  # every block takes the one-dumps path
+    monkeypatch.setattr(output, "_format_float", None)  # every block takes the one-dumps path
     finite = numeric_columns(n, n, FINITE_EDGES)
     # the one-dumps path ends a row at every ncol-th comma: a wrong stride shows at one width or another
     for ncol in range(1, 8):
@@ -119,7 +119,7 @@ def test_finite_blocks_never_call_repr(tmp_path, monkeypatch, n):
         raise AssertionError(f"repr of {value} called")
 
     monkeypatch.setattr(output, "repr", no_repr, raising=False)
-    monkeypatch.setattr(output, "format_floats", None)
+    monkeypatch.setattr(output, "_format_float", None)
     assert written(output.write_csv, tmp_path / "block.csv", columns) == expected
 
 
@@ -127,18 +127,18 @@ def test_nan_sends_only_its_block_to_per_column_formatting(tmp_path, monkeypatch
     columns = numeric_columns(3 * BLOCK, 3, FINITE_EDGES)
     columns[0][1][BLOCK + 5] = float("nan")
     calls = []
-    format_floats = output.format_floats
+    format_float = output._format_float
 
-    def recorded(values):
-        calls.append(np.array(values, copy=True))
-        return format_floats(values)
+    def recorded(value):
+        calls.append(value)
+        return format_float(value)
 
-    monkeypatch.setattr(output, "format_floats", recorded)
+    monkeypatch.setattr(output, "_format_float", recorded)
     expected = written(csv_oracle.write_csv, tmp_path / "oracle.csv", columns)
     assert written(output.write_csv, tmp_path / "block.csv", columns) == expected
-    assert len(calls) == len(columns)
-    for got, (_, values) in zip(calls, columns):
-        np.testing.assert_array_equal(got, values[BLOCK : 2 * BLOCK])
+    assert len(calls) == len(columns) * BLOCK
+    middle = np.column_stack([values[BLOCK : 2 * BLOCK].astype(float) for _, values in columns])
+    np.testing.assert_array_equal(calls, middle.ravel())  # the nan block's cells, row by row
 
 
 def test_a_million_floats_match_repr(tmp_path):
@@ -198,13 +198,13 @@ LAYOUT = [
 def test_float_layout_is_pinned(tmp_path):
     values = np.array([v for v, _ in LAYOUT])
     text = [t for _, t in LAYOUT]
-    assert output.format_floats(values) == text
     assert list(map(output.format_value, values.tolist())) == text  # Python floats, as list columns hold them
 
     def body(columns):
         output.write_csv(tmp_path / "x.csv", columns, "0", {})
         return (tmp_path / "x.csv").read_text().split("\n", 4)[4]
 
+    assert body([("x", values)]) == "".join(t + "\n" for t in text)  # an array that holds nan, cell by cell
     finite = np.isfinite(values)
     assert body([("x", values[finite])]) == "".join(t + "\n" for t, f in zip(text, finite) if f)  # one dumps
     assert body([("x", values), ("list", values.tolist())]) == "".join(f"{t},{t}\n" for t in text)

@@ -233,7 +233,7 @@ class TestLorentzianFit:
 
 def _error_entry(zeta, stage):
     """Assert a recorded pole-search failure: the message names zeta and the stage, no number survives."""
-    (entry,) = peak_separation_delta([zeta], 1.0, 5.0, 10)
+    (entry,) = peak_separation_delta([zeta], lambda z: build_cascade(z, 1.0, 5.0, 10))
     assert f"zeta={zeta!r}" in entry.error and stage in entry.error
     assert all(math.isnan(v) for v in (entry.delta_left, entry.delta_right, entry.delta_mean))
     assert all(math.isnan(p.real) and math.isnan(p.imag) for p in entry.scattering_poles)
@@ -242,7 +242,7 @@ def _error_entry(zeta, stage):
 
 class TestPeakSeparationDelta:
     def test_reference_zeta_values(self):
-        entries = peak_separation_delta([3.0, 5.0], 1.0, 5.0, 10)
+        entries = peak_separation_delta([3.0, 5.0], lambda z: build_cascade(z, 1.0, 5.0, 10))
         assert all(e.error is None for e in entries)
         assert abs(entries[1].delta_mean) < abs(entries[0].delta_mean)
         # symmetric configuration: both sides carry the same delta
@@ -251,11 +251,11 @@ class TestPeakSeparationDelta:
 
     def test_rejects_small_zeta(self):
         with pytest.raises(InvalidParameterError):
-            peak_separation_delta([0.8], 1.0, 5.0, 10)
+            peak_separation_delta([0.8], lambda z: build_cascade(z, 1.0, 5.0, 10))
 
     def test_nominal_alignment_resolves(self):
         # the fitted peaks of this configuration merged; its poles stay distinct
-        (entry,) = peak_separation_delta([5.0], 1.0, 5.0, 10, fiber_alignment="nominal")
+        (entry,) = peak_separation_delta([5.0], lambda z: build_cascade(z, 1.0, 5.0, 10, fiber_alignment="nominal"))
         assert entry.error is None
         assert entry.delta_mean / entry.kappa == pytest.approx(-0.0133, abs=5e-4)
 
@@ -273,20 +273,20 @@ class TestPeakSeparationDelta:
         _error_entry(5.0, "same pole")
 
     def test_delta_falls_monotonically_with_zeta(self):
-        entries = peak_separation_delta([5.0, 20.0, 200.0, 1000.0, 2000.0], 1.0, 5.0, 10)
+        entries = peak_separation_delta([5.0, 20.0, 200.0, 1000.0, 2000.0], lambda z: build_cascade(z, 1.0, 5.0, 10))
         ratios = [e.delta_mean / e.kappa for e in entries]
         assert all(e.error is None for e in entries)
         assert all(b < a for a, b in zip(ratios, ratios[1:])), ratios
 
     def test_delta_scales_as_kappa_over_zeta(self):
         # delta_mean * zeta / kappa is 0.2299 from zeta = 200 to 2000
-        entries = peak_separation_delta([200.0, 1000.0, 2000.0], 1.0, 5.0, 10)
+        entries = peak_separation_delta([200.0, 1000.0, 2000.0], lambda z: build_cascade(z, 1.0, 5.0, 10))
         scaled = [e.delta_mean * e.zeta / e.kappa for e in entries]
         assert max(scaled) <= 1.01 * min(scaled), scaled
 
     def test_half_widths_approach_the_port_picture(self):
         # at large zeta the stack's widths are half the coupled model's (kappa/4, kappa/2, kappa/4)
-        (entry,) = peak_separation_delta([1000.0], 1.0, 5.0, 10)
+        (entry,) = peak_separation_delta([1000.0], lambda z: build_cascade(z, 1.0, 5.0, 10))
         scat = [-p.imag / entry.kappa for p in entry.scattering_poles]
         coupled = [-p.imag / entry.kappa for p in entry.coupled_poles]
         assert scat == pytest.approx([0.25, 0.5, 0.25], abs=1e-6)

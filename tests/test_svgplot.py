@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -135,6 +136,28 @@ def test_heat_map_rejects_non_finite_input(tmp_path, which, bad):
     args[which].flat[-1] = bad
     with pytest.raises(ValueError, match=rf"{which} must be finite: it holds 1 non-finite"):
         svgplot.heat_map(tmp_path / "h.svg", args["x"], args["y"], args["values"])
+    assert not (tmp_path / "h.svg").exists()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_heat_map_takes_a_one_sample_axis(tmp_path, axis):
+    one = np.array([3.0])
+    x, y = (one, _Y) if axis == "x" else (_X, one)
+    text = svgplot.heat_map(tmp_path / "h.svg", x, y, np.outer(x, np.cos(y) + 1.5), **LABELS).read_text()
+    assert text.endswith("</svg>\n")
+    ticks = re.findall(r'font-size="11" text-anchor="(middle|end)">([-+.e\d]+)</text>', text)
+    assert len(ticks) == 2 * svgplot._N_TICKS
+    assert all(math.isfinite(float(t)) for _, t in ticks)
+    one_sample = [float(t) for anchor, t in ticks if anchor == ("middle" if axis == "x" else "end")]
+    assert one_sample == [2.5, 2.75, 3.0, 3.25, 3.5]  # the zero width widened by +-0.5, as line_plot does
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_heat_map_rejects_a_range_float64_cannot_span(tmp_path, axis):
+    wide = np.array([-1e308, 1e308])
+    x, y = (wide, _Y) if axis == "x" else (_X, wide)
+    with pytest.raises(ValueError, match=rf"the {axis} range .* no finite nonzero width"):
+        svgplot.heat_map(tmp_path / "h.svg", x, y, np.ones((x.size, y.size)))
     assert not (tmp_path / "h.svg").exists()
 
 
