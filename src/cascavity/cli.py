@@ -39,14 +39,7 @@ def _execute(command, config_path, out_dir, svg, grid_points, quiet):
             target.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory {str(target)!r}: {exc.strerror or exc}") from exc
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-    want_svg = svg or config.output.svg
-
-    try:
-        paths = getattr(runs, f"run_{command}")(config, target, want_svg, grid_points)
+        paths = getattr(runs, f"run_{command}")(config, target, svg or config.output.svg, grid_points)
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

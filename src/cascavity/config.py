@@ -17,8 +17,7 @@ Schema (version 1); unknown keys anywhere are rejected by name:
       "sweep": {"parameter": "omega", "min": 31.4, "max": 31.8, "points": 4001},
       "zeta_grid": [3, 5, 8, 12, 20],          # delta runs only
       "phase_grid": {"min": -3.14159, "max": 3.14159, "points": 181},
-      "drive": {"a_in": 1.0, "d_in": 0.0, "d_phase": 0.0},
-      #   or    {"eta_l": 0.14, "eta_r": 0.0, "phi": 0.0}
+      "drive": {"a_in": 1.0, "d_in": 0.0, "d_phase": 0.0},  # incident fields; spectrum needs a_in > 0
       "output": {"directory": "out", "svg": false}
     }
 
@@ -42,7 +41,6 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import ClassVar
 
 from .errors import ConfigError
 
@@ -167,32 +165,16 @@ class PhaseConfig:
 
 @dataclass(frozen=True)
 class FieldDrive:
-    """Incident field amplitudes: a_in from the left, d_in * exp(-i d_phase) from the right."""
+    """Incident field amplitudes: a_in from the left, d_in * exp(-i d_phase) from the right.
 
-    kind: ClassVar[str] = "field"
+    The coupled model's pumps are these fields times the port rate,
+    eta = sqrt(kappa) * A, so a pump eta_l, eta_r * exp(-i phi) is the field
+    drive a_in = eta_l / sqrt(kappa), d_in = eta_r / sqrt(kappa), d_phase = phi.
+    """
+
     a_in: float = _key(_nonnegative, 1.0)
     d_in: float = _key(_nonnegative, 0.0)
     d_phase: float = _key(_number, 0.0)
-
-
-@dataclass(frozen=True)
-class PumpDrive:
-    """Coupled-mode pump strengths: eta_l on the left cavity, eta_r * exp(-i phi) on the right."""
-
-    kind: ClassVar[str] = "pump"
-    eta_l: float = _key(_nonnegative, 0.0)
-    eta_r: float = _key(_nonnegative, 0.0)
-    phi: float = _key(_number, 0.0)
-
-
-def _drive(raw, where: str):
-    """Parse ``drive`` as the kind whose keys it holds; with none of them it is a field drive."""
-    held = raw.keys() if isinstance(raw, dict) else set()
-    kinds = [cls for cls in (FieldDrive, PumpDrive) if held & {f.name for f in fields(cls)}]
-    if len(kinds) > 1:
-        named = (f"{cls.kind} keys ({'/'.join(f.name for f in fields(cls))})" for cls in kinds)
-        raise ConfigError(f"{where} mixes " + " with ".join(named))
-    return _section(kinds[0] if kinds else FieldDrive, raw, where)
 
 
 @dataclass(frozen=True)
@@ -210,7 +192,7 @@ class ExperimentConfig:
     sweep: SweepConfig | None = _key(partial(_section, SweepConfig), None)
     zeta_grid: tuple[float, ...] = _key(_numbers, ())
     phase_grid: PhaseConfig = _key(partial(_section, PhaseConfig), PhaseConfig())
-    drive: FieldDrive | PumpDrive = _key(_drive, FieldDrive())
+    drive: FieldDrive = _key(partial(_section, FieldDrive), FieldDrive())
     output: OutputConfig = _key(partial(_section, OutputConfig), OutputConfig())
 
     def resolved(self) -> dict:

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, FieldDrive, PumpDrive, SweepConfig
+from .config import ExperimentConfig, SweepConfig
 from .errors import ConfigError
 from .matching import eta_from_input
 from .output import config_json, write_csv, write_json
@@ -66,16 +66,6 @@ _BLOCK_POINTS = 16384
 
 def _svg_meta(resolved: dict) -> str:
     return f"cascavity {__version__} config " + config_json(resolved)
-
-
-def _resolve_drive(drive: FieldDrive | PumpDrive, kappa: float):
-    """Return (a_in, d_in, phase, eta_l, eta_r) for a given kappa; the right drive carries exp(-i*phase)."""
-    if isinstance(drive, PumpDrive):
-        root = math.sqrt(kappa)
-        return drive.eta_l / root, drive.eta_r / root, drive.phi, drive.eta_l, drive.eta_r
-    eta_l = eta_from_input(kappa, drive.a_in)
-    eta_r = eta_from_input(kappa, drive.d_in)
-    return drive.a_in, drive.d_in, drive.d_phase, eta_l, eta_r
 
 
 def _cascade_at(config: ExperimentConfig, command: str):
@@ -196,30 +186,28 @@ def _line_plot(table: str, series, **labels):
 
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
-    """Transmission spectra of the selected model(s) -> spectrum.csv [spectrum.svg]."""
+    """Transmission spectra of the selected model(s), per unit incident power |a_in|^2 -> spectrum.csv [spectrum.svg]."""
     geo = config.geometry
     if geo.single_cavity:
         setup = build_single_cavity(geo.zeta, geo.cavity_length, geo.cavity_order)
     else:
         setup = _cascade_at(config, "spectrum")(geo.zeta)
-    a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, setup.system.kappa)
-    if a_in == 0 and config.model != "coupled":
-        raise ConfigError("the scattering spectrum needs a left drive: drive.a_in (or drive.eta_l) must be > 0")
-    if not geo.single_cavity:
-        pumps = (eta_l, eta_r * cmath.exp(-1j * phase))
-    elif d_in != 0.0:
-        raise ConfigError("single_cavity runs support left-side drive only: drive.d_in (or drive.eta_r) must be 0")
-    else:
-        pumps = (0.0, eta_l)  # the single cavity is the measured mode b
-
-    d_drive = d_in * np.exp(-1j * phase)
+    drive = config.drive
+    if drive.a_in == 0:
+        raise ConfigError("spectrum values are per unit incident power: drive.a_in must be > 0")
+    if geo.single_cavity and drive.d_in != 0.0:
+        raise ConfigError("single_cavity runs support left-side drive only: drive.d_in must be 0")
+    eta_l, eta_r = (eta_from_input(setup.system.kappa, field) for field in (drive.a_in, drive.d_in))
+    # the single cavity is the measured mode b
+    pumps = (0.0, eta_l) if geo.single_cavity else (eta_l, eta_r * cmath.exp(-1j * drive.d_phase))
+    d_drive = drive.d_in * np.exp(-1j * drive.d_phase)
 
     def compute(grid):
         columns = [("omega", grid)]
         if config.model in ("scattering", "both"):
-            columns.append(("scattering_value", sweep_scattering(setup.stack, grid, a_in, d_drive).values))
+            columns.append(("scattering_value", sweep_scattering(setup.stack, grid, drive.a_in, d_drive).values))
         if config.model in ("coupled", "both"):
-            columns.append(("coupled_value", sweep_coupled(setup.system, grid, *pumps).values))
+            columns.append(("coupled_value", sweep_coupled(setup.system, grid, *pumps).values / drive.a_in**2))
         return [("spectrum.csv", columns)]
 
     series = [(model, f"{model}_value") for model in ("scattering", "coupled") if config.model in (model, "both")]
@@ -254,6 +242,7 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
     for model, attr in (("scat", "scattering_poles"), ("coupled", "coupled_poles")):
         for i, side in enumerate(("lo", "mid", "hi")):
             columns.append((f"{model}_hw_{side}", [-getattr(e, attr)[i].imag for e in entries]))
+    columns.append(("fiber_order", [e.fiber_order for e in entries]))
     abs_mean = [abs(e.delta_mean) if e.error is None else math.nan for e in entries]
     series = [("|delta_mean|", abs_mean), ("kappa", [e.kappa for e in entries])]
     labels = dict(
@@ -334,8 +323,8 @@ def run_darkmode(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
 def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: int | None):
     """Matched coupled-mode parameters with formula provenance -> params.json."""
     setup = _cascade_at(config, "match")(config.geometry.zeta)
-    match = setup.match
-    a_in, d_in, phase, eta_l, eta_r = _resolve_drive(config.drive, match.kappa)
+    match, drive = setup.match, config.drive
+    eta_l, eta_r = (eta_from_input(match.kappa, field) for field in (drive.a_in, drive.d_in))
     payload = {
         "version": __version__,
         "config": config.resolved(),
@@ -363,8 +352,8 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
             "model_value": setup.system.g,
             "model_fiber_length": setup.stack.elements[3].length,
         },
-        "eta_l": {"value": eta_l, "formula": "sqrt(kappa)*a_in", "a_in": a_in},
-        "eta_r": {"value": eta_r, "formula": "sqrt(kappa)*d_in", "d_in": d_in, "phi": phase},
+        "eta_l": {"value": eta_l, "formula": "sqrt(kappa)*a_in", "a_in": drive.a_in},
+        "eta_r": {"value": eta_r, "formula": "sqrt(kappa)*d_in", "d_in": drive.d_in, "phi": drive.d_phase},
         "resonant_fiber_length": {
             "value": match.resonant_fiber_length,
             "formula": "(n_f*pi + atan2(1, zeta))/omega_c",

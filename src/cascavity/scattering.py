@@ -109,9 +109,6 @@ class OpticalStack:
                 raise InvalidParameterError(f"stack elements must be Mirror or Gap, got {type(e).__name__}")
         object.__setattr__(self, "elements", elems)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @property
     def mirror_count(self) -> int:
         return sum(1 for e in self.elements if isinstance(e, Mirror))
@@ -199,16 +196,12 @@ def _steps(stack: OpticalStack, k) -> list[tuple]:
 def _step(step, x, y):
     """Map an amplitude pair, or the second matrix column, across one element (left side -> right side).
 
-    A mirror adds into array arguments in place (scalars are replaced); a gap
-    returns new arrays, because numpy rounds an in-place product on a
-    1-element array differently from the same product on a longer one.
+    Returns new values and leaves its arguments unchanged, for mirrors and gaps alike.
     """
     s, q = step
     if q is None:
         w = s * (x + y)
-        x += w
-        y -= w
-        return x, y
+        return x + w, y - w
     return s * x, q * y
 
 
@@ -228,9 +221,6 @@ def _walk(x, y, steps, stops) -> dict:
         if j in stops:
             found[j] = (x, y)
         if j < end:
-            # a step updates its arrays in place: never the drive view or a returned pair
-            if j == 0 or j in stops:
-                x, y = x.copy(), y.copy()
             x, y = _step(steps[j], x, y)
     return found
 

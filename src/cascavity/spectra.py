@@ -401,12 +401,14 @@ class DeltaEntry:
 
     A pole's real part is the resonance frequency and minus its imaginary
     part the half width.  The deltas are side-to-middle distances of the
-    poles' real parts, scattering minus coupled.  After a failed pole search
-    ``error`` names zeta and the stage and the scattering poles are NaN, so
-    every delta is NaN.
+    poles' real parts, scattering minus coupled.  ``fiber_order`` is the
+    fiber resonance order the cascade was matched at.  After a failed pole
+    search ``error`` names zeta and the stage and the scattering poles are
+    NaN, so every delta is NaN.
     """
 
     zeta: float
+    fiber_order: int
     kappa: float
     scattering_poles: tuple[complex, complex, complex]
     coupled_poles: tuple[complex, complex, complex]
@@ -446,7 +448,8 @@ def peak_separation_delta(zeta_grid: Sequence[float], setup_at: Callable[[float]
             poles, error = np.sort_complex(transmission_poles(setup.stack, coupled)), None
         except PoleSearchError as exc:
             poles, error = np.full(3, complex(math.nan, math.nan)), f"zeta={zeta!r}: {exc}"
-        entries.append(DeltaEntry(zeta, setup.match.kappa, tuple(complex(p) for p in poles), coupled, error))
+        scattering = tuple(complex(p) for p in poles)
+        entries.append(DeltaEntry(zeta, setup.match.fiber_order, setup.match.kappa, scattering, coupled, error))
     return entries
 
 

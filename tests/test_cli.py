@@ -142,29 +142,43 @@ class TestSpectrumCommand:
         svg = (tmp_path / "out" / "spectrum.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
-    @pytest.mark.parametrize(
-        "drive, key",
-        [({"a_in": 0.0, "d_in": 1.0}, "drive.a_in"), ({"eta_l": 0.0, "eta_r": 0.1}, "drive.eta_l")],
-    )
+    @pytest.mark.parametrize("drive, key", [({"a_in": 0.0, "d_in": 1.0}, "drive.a_in")])
     def test_zero_left_drive_is_config_error_for_scattering(self, tmp_path, drive, key):
-        # the scattering value is normalised by the left drive
-        for model, code in (("both", 2), ("scattering", 2), ("coupled", 0)):
+        # both models' values are per unit incident power |a_in|^2
+        for model in ("both", "scattering", "coupled"):
             cfg = write_config(tmp_path, cascade_config(tmp_path / "out", drive=drive, model=model))
             result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--grid-points", "101"])
-            assert result.exit_code == code, (model, result.output)
-            if code:
-                assert key in result.output
+            assert result.exit_code == 2, (model, result.output)
+            assert key in result.output
 
-    @pytest.mark.parametrize(
-        "drive, key",
-        [({"a_in": 1.0, "d_in": 0.5}, "drive.d_in"), ({"eta_l": 0.1, "eta_r": 0.05}, "drive.eta_r")],
-    )
+    @pytest.mark.parametrize("drive, key", [({"a_in": 1.0, "d_in": 0.5}, "drive.d_in")])
     def test_single_cavity_right_drive_names_the_key(self, tmp_path, drive, key):
         raw = cascade_config(tmp_path / "out", drive=drive)
         raw["geometry"] = {"zeta": 5.0, "cavity_length": 1.0, "cavity_order": 10, "single_cavity": True}
         result = CliRunner().invoke(main, ["spectrum", "--config", str(write_config(tmp_path, raw))])
         assert result.exit_code == 2
         assert key in result.output
+
+    @staticmethod
+    def _spectrum_rows(tmp_path, single_cavity, a_in):
+        raw = cascade_config(tmp_path / f"out{a_in}", drive={"a_in": a_in})
+        if single_cavity:
+            raw["geometry"] = {"zeta": 20.0, "cavity_length": 1.0, "cavity_order": 10, "single_cavity": True}
+        cfg = write_config(tmp_path, raw, f"run{a_in}.json")
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--grid-points", "401"])
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / f"out{a_in}" / "spectrum.csv").read_text()
+        return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+    @pytest.mark.parametrize("single_cavity", [False, True], ids=["cascade", "single_cavity"])
+    def test_values_are_per_unit_incident_power(self, tmp_path, single_cavity):
+        unit = self._spectrum_rows(tmp_path, single_cavity, 1.0)
+        assert unit[0] == "omega,scattering_value,coupled_value,omega_over_omega_c"
+        # scaling the drive by 2 scales every amplitude exactly, so the rows are the same bytes
+        assert self._spectrum_rows(tmp_path, single_cavity, 2.0) == unit
+        other = self._spectrum_rows(tmp_path, single_cavity, 0.7)
+        want, got = (np.array([[float(c) for c in row.split(",")] for row in rows[1:]]) for rows in (unit, other))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import cascavity.runs as runs
@@ -199,6 +213,7 @@ class TestDeltaCommand:
             "coupled_hw_lo",
             "coupled_hw_mid",
             "coupled_hw_hi",
+            "fiber_order",
         ]
         assert len(rows) == 2
         assert all(r[5] == "" for r in rows)
@@ -268,6 +283,7 @@ class TestDeltaCommand:
             expected = [
                 [e.zeta, e.delta_left, e.delta_right, e.delta_mean, e.kappa, e.error or "", e.delta_mean / e.kappa]
                 + [-p.imag for p in (*e.scattering_poles, *e.coupled_poles)]
+                + [e.fiber_order]
                 for e in entries
             ]
             assert [[float(c) if c else c for c in row.split(",")] for row in rows] == expected, order
@@ -275,6 +291,25 @@ class TestDeltaCommand:
                 assert all(a != b for a, b in zip(rows, nearest))
         # unset, the order is the nearest at each zeta: 50 at zeta = 5 and 20, but 51 at zeta = 2
         assert rows[1:] == nearest[1:] and rows[0] != nearest[0]
+
+    @staticmethod
+    def _fiber_orders(tmp_path, **geometry) -> list[tuple[str, str]]:
+        raw = cascade_config(tmp_path / "out", zeta_grid=[2, 3, 5, 20])
+        raw["geometry"].update(geometry)
+        result = CliRunner().invoke(main, ["delta", "--config", str(write_config(tmp_path, raw))])
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
+        return [(row[header.index("error")], row[header.index("fiber_order")]) for row in rows]
+
+    def test_fiber_order_column(self, tmp_path, monkeypatch):
+        """Each row records the fiber order its cascade was matched at, as an integer."""
+        assert self._fiber_orders(tmp_path) == [("", "51"), ("", "50"), ("", "50"), ("", "50")]
+        assert self._fiber_orders(tmp_path, fiber_order=48) == [("", "48")] * 4
+        import cascavity.scattering
+
+        monkeypatch.setattr(cascavity.scattering, "_NEWTON_MAX_ITER", 1)
+        rows = self._fiber_orders(tmp_path, fiber_order=48)
+        assert all(error and order == "48" for error, order in rows)
 
     def test_grid_points_do_not_change_delta(self, tmp_path):
         # 50 points once ended the coarse-grid Lorentzian fit at max_nfev; poles need no grid
@@ -411,18 +446,20 @@ class TestMatchCommand:
         assert result.output.startswith("configuration error:") and str(target) in result.output
 
     def test_pump_drive_strengths_reach_the_provenance(self, tmp_path):
-        blocks = []
-        for eta_r in (0.05, 0.07):
-            raw = cascade_config(tmp_path / f"out{eta_r}", drive={"eta_l": 0.1, "eta_r": eta_r, "phi": 0.5})
-            # only the pump keys: the unused field defaults stay out of the header
-            drive = parse_config(raw).resolved()["drive"]
-            assert drive == {"eta_l": 0.1, "eta_r": eta_r, "phi": 0.5}
+        payloads = []
+        for d_in in (0.5, 0.7):
+            raw = cascade_config(tmp_path / f"out{d_in}", drive={"a_in": 1.0, "d_in": d_in, "d_phase": 0.5})
             result = CliRunner().invoke(main, ["match", "--config", str(write_config(tmp_path, raw))])
             assert result.exit_code == 0, result.output
-            blocks.append(json.loads((tmp_path / f"out{eta_r}" / "params.json").read_text())["config"])
-        assert blocks[0] != blocks[1]
-        assert blocks[0]["drive"]["eta_r"] == 0.05 and blocks[1]["drive"]["eta_r"] == 0.07
-        # field drives keep their headers: no pump keys
+            payloads.append(json.loads((tmp_path / f"out{d_in}" / "params.json").read_text()))
+        for payload, d_in in zip(payloads, (0.5, 0.7)):
+            assert payload["config"]["drive"] == {"a_in": 1.0, "d_in": d_in, "d_phase": 0.5}
+            kappa = payload["kappa"]["value"]
+            assert payload["eta_l"] == {"value": math.sqrt(kappa), "formula": "sqrt(kappa)*a_in", "a_in": 1.0}
+            eta_r = {"value": eta_from_input(kappa, d_in), "formula": "sqrt(kappa)*d_in", "d_in": d_in, "phi": 0.5}
+            assert payload["eta_r"] == eta_r
+        assert payloads[0]["eta_r"]["value"] < payloads[1]["eta_r"]["value"]
+        # unset drive keys take their defaults in the header
         field = parse_config(cascade_config("out")).resolved()["drive"]
         assert field == {"a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}
 

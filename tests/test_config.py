@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -27,7 +26,7 @@ class TestParseConfig:
         assert cfg.model == "both"
         assert cfg.fiber_alignment == "resonant"
         assert cfg.sweep is None
-        assert cfg.drive.kind == "field" and cfg.drive.a_in == 1.0
+        assert (cfg.drive.a_in, cfg.drive.d_in, cfg.drive.d_phase) == (1.0, 0.0, 0.0)
         assert cfg.output.directory == "out" and cfg.output.svg is False
         assert cfg.phase_grid.points == 181
 
@@ -60,15 +59,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config(raw)
 
-    def test_drive_kinds_are_exclusive(self):
-        raw = base_config(drive={"a_in": 1.0, "eta_l": 0.1})
-        with pytest.raises(ConfigError, match="mixes"):
-            parse_config(raw)
-
-    def test_pump_drive_parsed(self):
-        cfg = parse_config(base_config(drive={"eta_l": 0.2, "eta_r": 0.1, "phi": math.pi}))
-        assert cfg.drive.kind == "pump"
-        assert cfg.drive.eta_l == 0.2
+    def test_pump_key_is_unknown(self):
+        # a pump eta_l, eta_r * exp(-i phi) is the field drive eta_l/sqrt(kappa), eta_r/sqrt(kappa), phi
+        with pytest.raises(ConfigError, match=r"unknown key drive\.'eta_l'"):
+            parse_config(base_config(drive={"eta_l": 0.1}))
 
     def test_zeta_grid_validation(self):
         with pytest.raises(ConfigError, match=r"zeta_grid\[1\]"):
@@ -111,7 +105,6 @@ SINGLE_CAVITY = {"zeta": 20.0, "cavity_length": 1.0, "cavity_order": 10, "single
     "overrides",
     [
         {},
-        {"drive": {"eta_l": 0.2, "eta_r": 0.1, "phi": 0.5}},
         {"geometry": SINGLE_CAVITY},
         {"fiber_alignment": "nominal", "geometry": {**base_config()["geometry"], "fiber_order": 48}},
         {
@@ -121,7 +114,7 @@ SINGLE_CAVITY = {"zeta": 20.0, "cavity_length": 1.0, "cavity_order": 10, "single
             "output": {"directory": "run--1", "svg": True},
         },
     ],
-    ids=["minimal", "pump", "single_cavity", "nominal_fiber_order", "grids_and_output"],
+    ids=["minimal", "single_cavity", "nominal_fiber_order", "grids_and_output"],
 )
 def test_resolved_parses_back_to_the_config(overrides):
     cfg = parse_config(base_config(**overrides))

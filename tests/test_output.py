@@ -298,7 +298,9 @@ COMMANDS = (runs.run_spectrum, runs.run_delta, runs.run_profile, runs.run_darkmo
 
 
 @pytest.mark.parametrize(
-    "drive", [{"a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}, {"eta_l": 0.3, "eta_r": 0.2, "phi": 0.7}], ids=["field", "pump"]
+    "drive",
+    [{"a_in": 1.0, "d_in": 0.0, "d_phase": 0.0}, {"a_in": 1.0, "d_in": 0.4, "d_phase": 0.7}],
+    ids=["field", "two_sided"],
 )
 def test_every_command_matches_per_cell_writer(tmp_path, monkeypatch, drive):
     config = parse_config({**README_CONFIG, "drive": drive})
