@@ -25,17 +25,12 @@ from .scattering import (
     Mirror,
     OpticalStack,
     compose,
-    four_mirror_chain,
-    reflectivity,
+    mirror_chain,
     region_amplitude_sweep,
-    symmetric_cavity,
-    three_mirror_chain,
     transmission_poles,
-    transmissivity,
 )
 from .spectra import (
     CascadeSetup,
-    ComparisonCurves,
     DeltaEntry,
     Peak,
     PeakSet,

@@ -24,6 +24,7 @@ cell by cell through ``format_value``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -36,6 +37,19 @@ import numpy as np
 # 4 MB higher on one seed of the 5 (one benchmark run per seed, 2-vCPU x86-64 VM, glibc).
 _BLOCK_ROWS = 4096
 _QUOTED_CHARS = (",", '"', "\n", "\r")
+
+
+@contextlib.contextmanager
+def output_file(path, mode: str = "w"):
+    """``path`` open for writing, as UTF-8 text (``"w"``) or bytes (``"wb"``); removed if an exception escapes."""
+    path = Path(path)
+    file = path.open(mode, encoding=None if "b" in mode else "utf-8")  # before the try: an unopened file is not removed
+    try:
+        with file:
+            yield file
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _dumps(x) -> bytes:
@@ -110,7 +124,7 @@ def write_csv(
     n = len(cells[0]) if cells else 0
     if any(len(c) != n for c in cells):
         raise ValueError("all CSV columns must have equal length")
-    with path.open("wb") as f:
+    with output_file(path, "wb") as f:
         f.write(("\n".join([*header_lines(version, resolved_config), ",".join(names)]) + "\n").encode("utf-8"))
         for start in range(0, n, _BLOCK_ROWS):
             f.write(_block_bytes(cells, start))
@@ -119,5 +133,6 @@ def write_csv(
 
 def write_json(path, payload: dict) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with output_file(path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

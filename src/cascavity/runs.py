@@ -243,8 +243,7 @@ def run_delta(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
         for i, side in enumerate(("lo", "mid", "hi")):
             columns.append((f"{model}_hw_{side}", [-getattr(e, attr)[i].imag for e in entries]))
     columns.append(("fiber_order", [e.fiber_order for e in entries]))
-    abs_mean = [abs(e.delta_mean) if e.error is None else math.nan for e in entries]
-    series = [("|delta_mean|", abs_mean), ("kappa", [e.kappa for e in entries])]
+    series = [("|delta_mean|", [abs(e.delta_mean) for e in entries]), ("kappa", [e.kappa for e in entries])]
     labels = dict(
         xlabel="zeta",
         ylabel="peak-distance difference (c/L)",
@@ -261,14 +260,8 @@ def run_profile(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points:
 
     def compute(grid):
         curves = intensity_comparison(setup, grid)
-        columns = [
-            ("omega", curves.omega),
-            ("scat_left", curves.scattering_left),
-            ("scat_right", curves.scattering_right),
-            ("coupled_left", curves.coupled_left),
-            ("coupled_right", curves.coupled_right),
-        ]
-        return [("profile.csv", columns)]
+        names = ("scat_left", "scat_right", "coupled_left", "coupled_right")
+        return [("profile.csv", [("omega", grid), *zip(names, curves)])]
 
     series = [
         ("scattering left", "scat_left"),

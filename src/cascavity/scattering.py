@@ -12,7 +12,8 @@ Conventions (fixed throughout the package):
            [-i*zeta,     1 - i*zeta]]
 
   equivalent to reflectivity r = i*zeta/(1 - i*zeta) and transmissivity
-  t = 1/(1 - i*zeta); |r|^2 + |t|^2 = 1 and t = 1 + r.
+  t = 1/(1 - i*zeta), the b_out and c_out of ``mirror_chain(zeta)`` under
+  the drive (1, 0); |r|^2 + |t|^2 = 1 and t = 1 + r.
 * Free propagation over a distance d is diag(e^{ikd}, e^{-ikd}): the
   right-mover advances its phase.
 * Units: c = 1, so wavenumber and angular frequency coincide; lengths are
@@ -118,51 +119,21 @@ class OpticalStack:
         return [i for i, e in enumerate(self.elements) if isinstance(e, Gap)]
 
 
-def reflectivity(zeta: float) -> complex:
-    """Amplitude reflectivity r = i*zeta / (1 - i*zeta)."""
-    if not math.isfinite(zeta):
-        raise InvalidParameterError(f"mirror polarizability must be finite, got {zeta!r}")
-    return 1j * zeta / (1.0 - 1j * zeta)
-
-
-def transmissivity(zeta: float) -> complex:
-    """Amplitude transmissivity t = 1 / (1 - i*zeta)."""
-    if not math.isfinite(zeta):
-        raise InvalidParameterError(f"mirror polarizability must be finite, got {zeta!r}")
-    return 1.0 / (1.0 - 1j * zeta)
-
-
 # ---------------------------------------------------------------------------
 # Standard geometries
 
 
-def symmetric_cavity(zeta: float, length: float = 1.0) -> OpticalStack:
-    """Two identical mirrors enclosing one gap."""
-    return OpticalStack([Mirror(zeta), Gap(length), Mirror(zeta)])
+def mirror_chain(zeta: float, *gaps: float) -> OpticalStack:
+    """Identical mirrors of polarizability ``zeta`` around the given gap lengths, left to right.
 
-
-def three_mirror_chain(zeta: float, l1: float, l2: float) -> OpticalStack:
-    """Two coupled cavities of lengths l1, l2 sharing the middle mirror."""
-    return OpticalStack([Mirror(zeta), Gap(l1), Mirror(zeta), Gap(l2), Mirror(zeta)])
-
-
-def four_mirror_chain(zeta: float, cavity_length: float, fiber_length: float) -> OpticalStack:
-    """Cavity - fiber - cavity chain: four identical mirrors, three gaps.
-
-    Gap interiors map to region indices 1 (left cavity), 3 (fiber) and
-    5 (right cavity), per ``OpticalStack.gap_region_indices``.
+    ``mirror_chain(zeta)`` is a single mirror, ``mirror_chain(zeta, l)`` a
+    two-mirror cavity.  Gap j's interior is region 2j + 1: regions 1, 3 and 5
+    for the cavity-fiber-cavity chain ``mirror_chain(zeta, l_c, l_f, l_c)``.
     """
-    return OpticalStack(
-        [
-            Mirror(zeta),
-            Gap(cavity_length),
-            Mirror(zeta),
-            Gap(fiber_length),
-            Mirror(zeta),
-            Gap(cavity_length),
-            Mirror(zeta),
-        ]
-    )
+    elements = [Mirror(zeta)]
+    for length in gaps:
+        elements += [Gap(length), Mirror(zeta)]
+    return OpticalStack(elements)
 
 
 # ---------------------------------------------------------------------------

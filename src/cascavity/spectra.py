@@ -41,13 +41,7 @@ from .matching import (
     match_cascaded,
     omega_c_from_geometry,
 )
-from .scattering import (
-    OpticalStack,
-    four_mirror_chain,
-    region_amplitude_sweep,
-    symmetric_cavity,
-    transmission_poles,
-)
+from .scattering import OpticalStack, mirror_chain, region_amplitude_sweep, transmission_poles
 
 DEFAULT_GRID_POINTS = 4001
 DEFAULT_PROMINENCE = 1e-4
@@ -353,7 +347,7 @@ def build_cascade(
     *,
     fiber_alignment: str = "resonant",
 ) -> CascadeSetup:
-    """Build the four-mirror stack and the matched mode system for one geometry.
+    """Build the stack ``mirror_chain(zeta, l_c, l_f_used, l_c)`` (gap regions 1, 3, 5) and its matched mode system.
 
     ``fiber_alignment="resonant"`` snaps the fiber gap to the common-resonance
     length nearest the nominal ``l_f`` and sets omega_f = omega_c exactly;
@@ -367,7 +361,7 @@ def build_cascade(
     else:
         l_f_used, omega_f = l_f, match.omega_f
     system = ModeSystem(match.omega_c, omega_f, g_from_geometry(zeta, l_c, l_f_used), match.kappa)
-    return CascadeSetup(four_mirror_chain(zeta, l_c, l_f_used), system, match)
+    return CascadeSetup(mirror_chain(zeta, l_c, l_f_used, l_c), system, match)
 
 
 def build_single_cavity(zeta: float, l_c: float, n_c: int) -> CascadeSetup:
@@ -379,7 +373,7 @@ def build_single_cavity(zeta: float, l_c: float, n_c: int) -> CascadeSetup:
     """
     kappa = kappa_from_geometry(zeta, l_c)
     omega_c = omega_c_from_geometry(zeta, l_c, n_c)
-    return CascadeSetup(symmetric_cavity(zeta, l_c), ModeSystem(omega_c, omega_c, 0.0, kappa))
+    return CascadeSetup(mirror_chain(zeta, l_c), ModeSystem(omega_c, omega_c, 0.0, kappa))
 
 
 def default_omega_window(setup, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -453,37 +447,20 @@ def peak_separation_delta(zeta_grid: Sequence[float], setup_at: Callable[[float]
     return entries
 
 
-@dataclass(frozen=True)
-class ComparisonCurves:
-    """Intracavity intensities versus drive frequency, both models, both cavities."""
+def intensity_comparison(setup: CascadeSetup, omega_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Left/right cavity intensities for a unit left-side drive, in both models, on ``omega_grid``.
 
-    omega: np.ndarray
-    scattering_left: np.ndarray
-    scattering_right: np.ndarray
-    coupled_left: np.ndarray
-    coupled_right: np.ndarray
-
-
-def intensity_comparison(setup: CascadeSetup, omega_grid) -> ComparisonCurves:
-    """Left/right cavity intensities for a unit left-side drive, in both models.
-
+    Returns (scattering left, scattering right, coupled left, coupled right).
     Scattering curves are |A|^2 + |B|^2 of the cavity gap regions with
     a_in = 1; coupled curves are the photon numbers |alpha|^2, |beta|^2 with
     the matched drive eta_l = sqrt(kappa).
     """
     grid = _check_grid(omega_grid)
     gap_regions = setup.stack.gap_region_indices()
-    left, right = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0, regions=[gap_regions[0], gap_regions[2]])
-    scat_left = np.abs(left[0]) ** 2 + np.abs(left[1]) ** 2
-    scat_right = np.abs(right[0]) ** 2 + np.abs(right[1]) ** 2
+    cavities = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0, regions=[gap_regions[0], gap_regions[2]])
+    scat_left, scat_right = (np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in cavities)
     alpha, beta, _ = _steady_state_arrays(setup.system, grid, eta_from_input(setup.system.kappa, 1.0), 0.0)
-    return ComparisonCurves(
-        omega=grid,
-        scattering_left=scat_left,
-        scattering_right=scat_right,
-        coupled_left=np.abs(alpha) ** 2,
-        coupled_right=np.abs(beta) ** 2,
-    )
+    return scat_left, scat_right, np.abs(alpha) ** 2, np.abs(beta) ** 2
 
 
 def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid) -> PhaseScan:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .output import output_file
+
 _WIDTH = 720
 _HEIGHT = 460
 _MARGIN_L = 72
@@ -58,29 +60,24 @@ def _canvas(path, title: str, meta: str = ""):
     """An SVG file open for drawing: ``with _canvas(path, title, meta) as canvas:``.
 
     The header, meta comment, background and title come before the drawing
-    and ``</svg>`` after it; if an exception escapes, the file is removed.
+    and ``</svg>`` after it; as for every output file (``output.output_file``),
+    if an exception escapes, the file is removed.
     """
-    path = Path(path)
-    file = open(path, "w", encoding="utf-8")  # before the try: a file that cannot be opened is not removed
-    try:
-        with file:
-            canvas = _Canvas(file)
-            canvas.add(
-                f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-                f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-            )
-            if meta:
-                # a comment may not hold "--"; in JSON it only occurs inside strings,
-                # where "-\\u002d" reads back as "--"
-                canvas.add("<!-- " + meta.replace("--", "-\\u002d") + " -->")
-            canvas.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-            if title:
-                canvas.text(_WIDTH / 2, _MARGIN_T - 14, title, anchor="middle", size=14)
-            yield canvas
-            canvas.add("</svg>")
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with output_file(path) as file:
+        canvas = _Canvas(file)
+        canvas.add(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+        )
+        if meta:
+            # a comment may not hold "--"; in JSON it only occurs inside strings,
+            # where "-\\u002d" reads back as "--"
+            canvas.add("<!-- " + meta.replace("--", "-\\u002d") + " -->")
+        canvas.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+        if title:
+            canvas.text(_WIDTH / 2, _MARGIN_T - 14, title, anchor="middle", size=14)
+        yield canvas
+        canvas.add("</svg>")
 
 
 class _Canvas:

@@ -114,14 +114,14 @@ class TestPhotocurrent:
 class TestEigenfrequencies:
     def test_two_mode_matches_scattering_splitting(self):
         # oracle: brute-force peak pair of the three-mirror transmission, split by 2g
-        from cascavity import sweep_scattering, three_mirror_chain
+        from cascavity import mirror_chain, sweep_scattering
         from cascavity.spectra import find_peaks
 
         zeta = 5.0
         g = 1 / (2 * math.sqrt(26))
         omega_c = 10 * math.pi + math.atan2(1, zeta)
         grid = np.linspace(omega_c - 3 * g, omega_c + 3 * g, 4001)
-        spec = sweep_scattering(three_mirror_chain(zeta, 1.0, 1.0), grid)
+        spec = sweep_scattering(mirror_chain(zeta, 1.0, 1.0), grid)
         found = find_peaks(spec)
         assert len(found) == 2
         lo_fit, hi_fit = fit_oracle.fit_peaks(spec, found)

@@ -10,11 +10,10 @@ from cascavity import (
     g_from_geometry,
     kappa_from_geometry,
     match_cascaded,
+    mirror_chain,
     nearest_order,
     omega_c_from_geometry,
     resonance_phase,
-    symmetric_cavity,
-    three_mirror_chain,
 )
 from test_scattering import brute_force_peak, transmission
 
@@ -46,7 +45,7 @@ class TestKappa:
 
     def test_matches_brute_force_half_width(self):
         for zeta, tol in ((5.0, 0.01), (20.0, 0.001)):
-            stack = symmetric_cavity(zeta)
+            stack = mirror_chain(zeta, 1.0)
             kappa = kappa_from_geometry(zeta, 1.0)
             k0, _ = brute_force_peak(stack, 10 * math.pi - 1.0, 10 * math.pi + 1.0)
             hwhm = half_width_by_bisection(stack, k0, kappa)
@@ -95,7 +94,7 @@ class TestOmegaC:
         for zeta in (2.0, 5.0, 20.0):
             n = 10
             predicted = omega_c_from_geometry(zeta, 1.0, n)
-            k0, _ = brute_force_peak(symmetric_cavity(zeta), n * math.pi - 1.5, n * math.pi + 1.5)
+            k0, _ = brute_force_peak(mirror_chain(zeta, 1.0), n * math.pi - 1.5, n * math.pi + 1.5)
             assert abs(k0 - predicted) < 1e-4 * fsr
 
     def test_length_scaling(self):
@@ -139,7 +138,7 @@ class TestEta:
         eta = eta_from_input(kappa, a_in)
         sys = ModeSystem(omega_c, omega_c, 0.0, kappa)
         (coupled_peak,) = sweep_coupled(sys, [omega_c], 0.0, eta).values
-        _, scattering_peak = brute_force_peak(symmetric_cavity(zeta), omega_c - 1, omega_c + 1)
+        _, scattering_peak = brute_force_peak(mirror_chain(zeta, 1.0), omega_c - 1, omega_c + 1)
         assert coupled_peak == pytest.approx(scattering_peak * a_in**2, rel=1e-9)
 
     def test_domain(self):
@@ -169,7 +168,7 @@ class TestCouplingRate:
         omega_c = 10 * math.pi + phase
         n2 = round((l2 * omega_c - phase) / math.pi)
         l2_aligned = (n2 * math.pi + phase) / omega_c
-        stack = three_mirror_chain(zeta, 1.0, l2_aligned)
+        stack = mirror_chain(zeta, 1.0, l2_aligned)
         g = g_from_geometry(zeta, 1.0, l2_aligned)
         lo, _ = brute_force_peak(stack, omega_c - 2 * g, omega_c - 0.2 * g)
         hi, _ = brute_force_peak(stack, omega_c + 0.2 * g, omega_c + 2 * g)

@@ -1,9 +1,11 @@
 """The block writer and the vectorized plots write the same bytes as the per-cell code."""
 
 import csv
+import errno
 import io
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,12 +262,36 @@ def failing_column(bad_row: int, n: int):
 
 
 def test_failure_in_the_caller_stops_its_workers(tmp_path):
-    """Blocks are formatted in the calling process: a failing cell surfaces as its own error, no child is left."""
+    """Blocks are formatted in the calling process: a failing cell surfaces as its own error, no child is left.
+
+    The blocks before the failing one were already written: the file is removed, not left truncated.
+    """
     columns = [*edge_columns(4 * BLOCK), ("bad", failing_column(2 * BLOCK + 3, 4 * BLOCK))]
     with pytest.raises(ValueError, match=f"cell {2 * BLOCK + 3} cannot be formatted"):
         output.write_csv(tmp_path / "x.csv", columns, "0", {})
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_failed_json_write_leaves_no_file(tmp_path, monkeypatch):
+    """A write that fails removes the file: neither a truncated one nor an earlier run's is left."""
+    path = output.write_json(tmp_path / "params.json", {"run": 1})
+    real_open = Path.open
+
+    def full_disk(self, *args, **kwargs):
+        file = real_open(self, *args, **kwargs)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        file.write = write
+        return file
+
+    monkeypatch.setattr(Path, "open", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        output.write_json(path, {"run": 2})
+    assert not path.exists()
 
 
 def test_write_csv_never_forks(tmp_path, monkeypatch):

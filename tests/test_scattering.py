@@ -16,14 +16,10 @@ from cascavity import (
     SingularBoundaryError,
     build_cascade,
     compose,
-    four_mirror_chain,
-    reflectivity,
-    region_amplitude_sweep,
-    symmetric_cavity,
-    three_mirror_chain,
+    mirror_chain,
     mode_poles,
+    region_amplitude_sweep,
     transmission_poles,
-    transmissivity,
 )
 
 
@@ -95,28 +91,37 @@ class TestMirrorMatrix:
             Mirror(math.nan)
 
 
+def mirror_r_t(zeta):
+    """r and t of one mirror: the engine's b_out and c_out on ``mirror_chain(zeta)`` under the drive (1, 0)."""
+    (_, b_out), (c_out, _) = region_amplitude_sweep(mirror_chain(zeta), 1.0, 1.0, 0.0)
+    return complex(b_out), complex(c_out)
+
+
 class TestReflectivityTransmissivity:
     def test_zeta_5_power_reflectivity(self):
-        assert abs(reflectivity(5.0)) ** 2 == pytest.approx(25 / 26, rel=1e-14)
+        r, _ = mirror_r_t(5.0)
+        assert abs(r) ** 2 == pytest.approx(25 / 26, rel=1e-14)
 
     def test_transparent_limit(self):
-        assert reflectivity(0.0) == 0
-        assert transmissivity(0.0) == 1
+        r, t = mirror_r_t(0.0)
+        assert r == 0
+        assert t == 1
 
     def test_half_half_at_zeta_1(self):
-        assert abs(reflectivity(1.0)) ** 2 == pytest.approx(0.5, rel=1e-14)
-        assert abs(transmissivity(1.0)) ** 2 == pytest.approx(0.5, rel=1e-14)
+        r, t = mirror_r_t(1.0)
+        assert abs(r) ** 2 == pytest.approx(0.5, rel=1e-14)
+        assert abs(t) ** 2 == pytest.approx(0.5, rel=1e-14)
 
     def test_matches_single_mirror_inversion(self):
         for zeta in (0.3, 1.0, 5.0, -2.0):
-            _, _, m21, m22 = compose(OpticalStack([Mirror(zeta)]), 1.0)
-            assert -m21 / m22 == pytest.approx(reflectivity(zeta), abs=1e-15)
-            assert 1 / m22 == pytest.approx(transmissivity(zeta), abs=1e-15)
+            r, t = mirror_r_t(zeta)
+            assert r == pytest.approx(1j * zeta / (1 - 1j * zeta), abs=1e-15)
+            assert t == pytest.approx(1 / (1 - 1j * zeta), abs=1e-15)
 
     def test_lossless_partition(self):
         for zeta in np.linspace(-100, 100, 401):
-            total = abs(reflectivity(zeta)) ** 2 + abs(transmissivity(zeta)) ** 2
-            assert abs(total - 1.0) < 1e-14
+            r, t = mirror_r_t(zeta)
+            assert abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) < 1e-14
 
 
 class TestPropagationMatrix:
@@ -168,7 +173,7 @@ class TestCompose:
 
     def test_symmetric_cavity_full_transmission_on_resonance(self):
         # brute-force scan for the transmission maximum of the lossless cavity
-        stack = symmetric_cavity(5.0)
+        stack = mirror_chain(5.0, 1.0)
         _, peak = brute_force_peak(stack, 10 * math.pi - 1.0, 10 * math.pi + 1.0)
         assert peak == pytest.approx(1.0, abs=1e-12)
 
@@ -179,24 +184,24 @@ class TestCompose:
 class TestSolveBoundary:
     def test_single_mirror_recovers_r_and_t(self):
         b_out, c_out, _ = boundary(OpticalStack([Mirror(5.0)]), 1.0, 1.0, 0.0)
-        assert b_out == pytest.approx(reflectivity(5.0), abs=1e-15)
-        assert c_out == pytest.approx(transmissivity(5.0), abs=1e-15)
+        assert b_out == pytest.approx(5j / (1 - 5j), abs=1e-15)
+        assert c_out == pytest.approx(1 / (1 - 5j), abs=1e-15)
 
     def test_zero_drive_gives_zero_field(self):
-        stack = three_mirror_chain(5.0, 1.0, 2.0)
+        stack = mirror_chain(5.0, 1.0, 2.0)
         b_out, c_out, regions = boundary(stack, 4.0, 0.0, 0.0)
         assert b_out == 0 and c_out == 0
         assert all(right == 0 and left == 0 for right, left in regions)
 
     def test_flux_conservation_at_cascade_resonance(self):
-        stack = four_mirror_chain(5.0, 1.0, 5.0)
+        stack = mirror_chain(5.0, 1.0, 5.0, 1.0)
         k0, _ = brute_force_peak(stack, 31.4, 31.65)
         b_out, c_out, _ = boundary(stack, k0, 1.0, 0.0)
         flux = abs(b_out) ** 2 + abs(c_out) ** 2
         assert flux == pytest.approx(1.0, abs=1e-12)
 
     def test_linearity_in_the_drive(self):
-        stack = three_mirror_chain(3.0, 1.0, 1.0)
+        stack = mirror_chain(3.0, 1.0, 1.0)
         lam = 0.7 - 1.3j
         base = region_amplitude_sweep(stack, 9.4, 1.0, 0.5j)
         scaled = region_amplitude_sweep(stack, 9.4, lam, 0.5j * lam)
@@ -207,7 +212,7 @@ class TestSolveBoundary:
     def test_region_continuity_forward_vs_backward(self):
         # recompute region amplitudes from the right boundary through inverse
         # matrices; both routes must agree
-        stack = four_mirror_chain(5.0, 1.0, 5.0)
+        stack = mirror_chain(5.0, 1.0, 5.0, 1.0)
         k, d_in = 31.6, 0.3 - 0.4j
         _, c_out, regions = boundary(stack, k, 1.0, d_in)
         right, left = regions[-1]
@@ -229,18 +234,18 @@ class TestFieldProfile:
 
     def test_intracavity_enhancement_on_resonance(self):
         zeta = 5.0
-        stack = symmetric_cavity(zeta)
+        stack = mirror_chain(zeta, 1.0)
         k0, _ = brute_force_peak(stack, 31.4, 31.8)
         ((right, left),) = region_amplitude_sweep(stack, k0, 1.0, 0.0, regions=[1])
         intensity = abs(right) ** 2 + abs(left) ** 2
         assert intensity > 1.0
         # forward amplitude oracle: |A|^2 = 1/|t_mirror|^2 at full transmission
-        assert abs(right) ** 2 == pytest.approx(1 / abs(transmissivity(zeta)) ** 2, rel=1e-9)
+        assert abs(right) ** 2 == pytest.approx(abs(1 - 1j * zeta) ** 2, rel=1e-9)
         assert intensity == pytest.approx(1 + 2 * zeta**2, rel=1e-9)
 
     def test_fiber_region_small_at_middle_resonance(self):
         # the middle cascade resonance barely excites the fiber region
-        stack = four_mirror_chain(5.0, 1.0, 4.975023749892274)
+        stack = mirror_chain(5.0, 1.0, 4.975023749892274, 1.0)
         omega_c = 10 * math.pi + math.atan2(1, 5.0)
         g = 1 / (2 * math.sqrt(4.975023749892274) * math.sqrt(26))
         ((right, left),) = region_amplitude_sweep(stack, [omega_c, omega_c + math.sqrt(2) * g], 1.0, 0.0, regions=[3])
@@ -250,7 +255,7 @@ class TestFieldProfile:
 
 class TestStackGeometry:
     def test_boundary_positions_and_gap_regions(self):
-        stack = four_mirror_chain(5.0, 1.0, 5.0)
+        stack = mirror_chain(5.0, 1.0, 5.0, 1.0)
         assert stack.gap_region_indices() == [1, 3, 5]
         assert stack.mirror_count == 4
 
@@ -260,7 +265,7 @@ class TestStackGeometry:
 
 
 class TestEngineEdges:
-    stack = four_mirror_chain(5.0, 1.0, 5.0)
+    stack = mirror_chain(5.0, 1.0, 5.0, 1.0)
     ks = np.linspace(31.3, 31.9, 41)
 
     def test_right_side_drive(self):
@@ -306,13 +311,13 @@ class TestEngineEdges:
         ks = np.array([31.5, 31.6])
         for zeta in (1e100, -1e100):
             with pytest.raises(SingularBoundaryError, match=r"^boundary solve.* k = 31\.5 .*zeta = 1e\+100\)$"):
-                region_amplitude_sweep(four_mirror_chain(zeta, 1.0, 5.0), ks, 1.0, 0.0, regions=[-1])
-        regions = region_amplitude_sweep(four_mirror_chain(1e76, 1.0, 5.0), ks, 1.0, 0.0)
+                region_amplitude_sweep(mirror_chain(zeta, 1.0, 5.0, 1.0), ks, 1.0, 0.0, regions=[-1])
+        regions = region_amplitude_sweep(mirror_chain(1e76, 1.0, 5.0, 1.0), ks, 1.0, 0.0)
         assert all(np.isfinite(a).all() and np.isfinite(b).all() for a, b in regions)
 
 
 class TestRegionSelection:
-    stack = four_mirror_chain(5.0, 1.0, 5.0)
+    stack = mirror_chain(5.0, 1.0, 5.0, 1.0)
     ks = np.linspace(31.3, 31.9, 41)
     inputs = {
         "scalar": (31.6, 1.0, 0.3 - 0.4j),
@@ -365,7 +370,7 @@ class TestTransmissionPoles:
         # m22 = 0 gives e^{2i w l} = -(1 - i zeta)^2 / zeta^2
         length, n = 1.3, 7
         want = complex((n * math.pi + math.atan2(1.0, zeta)) / length, -math.log1p(zeta**-2) / (2 * length))
-        (pole,) = transmission_poles(symmetric_cavity(zeta, length), [want.real - 0.3j / zeta**2])
+        (pole,) = transmission_poles(mirror_chain(zeta, length), [want.real - 0.3j / zeta**2])
         assert abs(pole - want) <= 1e-14 * abs(want)
 
     def test_returns_one_pole_per_start_in_order(self):
@@ -394,7 +399,7 @@ class TestTransmissionPoles:
                 transmission_poles(stack, [31.5 - 0.1j])
 
     def test_rejects_bad_starts(self):
-        stack = symmetric_cavity(5.0)
+        stack = mirror_chain(5.0, 1.0)
         for starts in ([complex(math.nan, 0.0)], [[31.5]], [math.inf]):
             with pytest.raises(InvalidParameterError):
                 transmission_poles(stack, starts)

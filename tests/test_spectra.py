@@ -22,6 +22,7 @@ from cascavity import (
     find_peaks,
     intensity_comparison,
     lorentzian_fit,
+    mirror_chain,
     omega_c_from_geometry,
     kappa_from_geometry,
     mode_poles,
@@ -29,7 +30,6 @@ from cascavity import (
     sinusoid_fit,
     sweep_coupled,
     sweep_scattering,
-    symmetric_cavity,
     OpticalStack,
 )
 
@@ -120,7 +120,7 @@ class TestSweeps:
             sweep_scattering(setup.stack, default_omega_window(setup, 101), 0.0, 1.0)
 
     def test_grid_validation(self):
-        stack = symmetric_cavity(5.0)
+        stack = mirror_chain(5.0, 1.0)
         with pytest.raises(InvalidParameterError):
             sweep_scattering(stack, np.array([2.0, 1.0]))
         with pytest.raises(InvalidParameterError):
@@ -191,7 +191,7 @@ class TestLorentzianFit:
         kappa = kappa_from_geometry(zeta, 1.0)
         omega_c = omega_c_from_geometry(zeta, 1.0, 10)
         grid = np.linspace(omega_c - 4 * kappa, omega_c + 4 * kappa, 1601)
-        spec = sweep_scattering(symmetric_cavity(zeta), grid)
+        spec = sweep_scattering(mirror_chain(zeta, 1.0), grid)
         peak = lorentzian_fit(spec, (grid[0], grid[-1]))
         assert peak.half_width == pytest.approx(kappa, rel=1e-3)
 
@@ -203,7 +203,7 @@ class TestLorentzianFit:
             kappa = kappa_from_geometry(zeta, 1.0)
             omega_c = omega_c_from_geometry(zeta, 1.0, 10)
             grid = np.linspace(omega_c - 4 * kappa, omega_c + 4 * kappa, 1601)
-            spec = sweep_scattering(symmetric_cavity(zeta), grid)
+            spec = sweep_scattering(mirror_chain(zeta, 1.0), grid)
             peak = lorentzian_fit(spec, (grid[0], grid[-1]))
             deviations[zeta] = abs(peak.half_width / kappa - 1.0)
         assert deviations[2.0] > 1e-3
@@ -307,16 +307,15 @@ class TestIntensityComparison:
         self.grid = default_omega_window(self.setup, 3001)
 
     def test_peak_frequencies_agree_between_models(self):
-        curves = intensity_comparison(self.setup, self.grid)
-        omega = curves.omega
-        scat_peak = omega[np.argmax(curves.scattering_right)]
-        coup_peak = omega[np.argmax(curves.coupled_right)]
+        _, scat_right, _, coupled_right = intensity_comparison(self.setup, self.grid)
+        scat_peak = self.grid[np.argmax(scat_right)]
+        coup_peak = self.grid[np.argmax(coupled_right)]
         kappa = self.setup.match.kappa
         assert abs(scat_peak - coup_peak) < kappa
 
     def test_peak_magnitudes_differ_at_finite_zeta(self):
-        curves = intensity_comparison(self.setup, self.grid)
-        ratio = curves.scattering_right.max() / curves.coupled_right.max()
+        _, scat_right, _, coupled_right = intensity_comparison(self.setup, self.grid)
+        ratio = scat_right.max() / coupled_right.max()
         assert abs(ratio - 1.0) > 0.05
 
     def test_both_cavities_match_50_digit_solve(self):
@@ -324,24 +323,18 @@ class TestIntensityComparison:
         # propagation through five elements loses 1e-8 relative here
         setup = build_cascade(200.0, 1.0, 5.0, 10)
         grid = default_omega_window(setup, 4001)
-        curves = intensity_comparison(setup, grid)
+        scat_left, scat_right, _, _ = intensity_comparison(setup, grid)
         with mpmath.workdps(50):
             for i in range(0, grid.size, 100):
                 _, _, regions = oracle.solve(setup.stack, mpmath.mpf(grid[i]), 1, 0, mpmath.exp)
-                for got, (right, left) in ((curves.scattering_left, regions[1]), (curves.scattering_right, regions[5])):
+                for got, (right, left) in ((scat_left, regions[1]), (scat_right, regions[5])):
                     assert got[i] == pytest.approx(float(abs(right) ** 2 + abs(left) ** 2), rel=1e-9)
 
     def test_far_detuned_window_is_dark(self):
         zeta = 40.0
         omega_c = omega_c_from_geometry(zeta, 1.0, 10)
         grid = np.linspace(omega_c + 1.2, omega_c + 1.9, 101)
-        curves = intensity_comparison(build_cascade(zeta, 1.0, 5.0, 10), grid)
-        for arr in (
-            curves.scattering_left,
-            curves.scattering_right,
-            curves.coupled_left,
-            curves.coupled_right,
-        ):
+        for arr in intensity_comparison(build_cascade(zeta, 1.0, 5.0, 10), grid):
             assert np.all(arr < 1e-3)
 
 
@@ -354,7 +347,7 @@ class TestDarkModeScan:
 
     def test_requires_four_mirror_stack(self):
         with pytest.raises(InvalidParameterError):
-            dark_mode_scan(symmetric_cavity(5.0), self.omega, self.phis)
+            dark_mode_scan(mirror_chain(5.0, 1.0), self.omega, self.phis)
 
     def test_columns_are_exact_sinusoids(self):
         # the closed form against the least-squares fit of every row

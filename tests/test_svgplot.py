@@ -183,8 +183,8 @@ def test_heat_map_memory(tmp_path):
 
 
 def test_line_plot_memory(tmp_path):
-    """4 logy series x 200,001 points: 719 B per grid point with a Python tuple per sample."""
-    n = 200_001
+    """4 logy series x 20,001 points: 725 B per grid point with a Python tuple per sample."""
+    n = 20_001
     rng = np.random.default_rng(12)
     x = np.linspace(10.0, 11.0, n)
     series = [(f"s{i}", 10.0 ** rng.uniform(-8, 0, n)) for i in range(4)]
