@@ -33,19 +33,26 @@ form [[conj(m22), m12], [conj(m12), m22]], so the engine carries only the
 second column (m12, m22) through the stack.  A mirror maps (x, y) to
 (x + w, y - w) with w = i*zeta*(x + y), a gap to (p*x, y/p) with p = e^{ikl};
 gaps of equal length share one phase, so the cavity-fiber-cavity chain takes
-two exponentials, not three.  The same steps propagate region amplitudes and,
-at complex omega, carry dm22/domega for the pole search.  Every factor has
-determinant exactly 1, which the boundary solve exploits: the outgoing
-amplitudes are
+two exponentials, not three.  The same steps, at complex omega, carry
+dm22/domega for the pole search.
 
-    b_out = (d_in - m21 * a_in) / m22,    m21 = conj(m12)
-    c_out = (a_in + m12 * d_in) / m22
+Every region is solved from both ends at once.  With L and R the products of
+the elements left and right of a region, the drive fixes l22*A - l12*B = a_in
+and r21*A + r22*B = d_in, a system of determinant m22 because every factor
+has determinant exactly 1:
 
-both free of the catastrophic cancellation that the textbook form
-``c_out = m11*a_in + m12*b_out`` suffers for highly reflective stacks.
-Each interior region is propagated from the nearer outer region, (a_in,
-b_out) or (c_out, d_in), through at most half the stack.  Only the regions a
-caller asks for are built; the last needs neither b_out nor any propagation.
+    A = (a_in * r22 + l12 * d_in) / m22,    B = (l22 * d_in - r21 * a_in) / m22
+
+A walk of the steps from the left gives (l12, l22) at each region and
+(m12, m22) at the last; a walk of the reversed steps gives (-r21, r22), since
+each factor's transpose is J M J with J = diag(1, -1).  So the a_in part of a
+region is the transmitted wave (a_in/m22, 0) carried back through R and the
+d_in part the wave (0, d_in/m22) carried through L: no amplitude is the small
+difference of an incoming and a reflected wave, as it is in a region
+propagated from the driven end, which off resonance at large zeta loses every
+digit.  At the ends the solve gives b_out = (d_in - m21*a_in)/m22 and
+c_out = (a_in + m12*d_in)/m22, free of the cancellation of the textbook
+``c_out = m11*a_in + m12*b_out``, and keeps a_in and d_in exact.
 """
 
 from __future__ import annotations
@@ -176,18 +183,10 @@ def _step(step, x, y):
     return s * x, q * y
 
 
-def _second_column(steps):
-    """(m12, m22) of the left-to-right product: composing [X, Y] gives M(Y) @ M(X)."""
-    col = (0j, 1.0 + 0j)
-    for step in steps:
-        col = _step(step, *col)
-    return col
-
-
 def _walk(x, y, steps, stops) -> dict:
     """The pair (x, y) after j of ``steps``, for each j in ``stops``; takes only the steps it needs."""
     found = {}
-    end = max(stops)
+    end = max(stops, default=0)
     for j in range(end + 1):
         if j in stops:
             found[j] = (x, y)
@@ -202,7 +201,8 @@ def compose(stack: OpticalStack, k):
     The matrix is lossless: m11 = conj(m22) and m21 = conj(m12) exactly.
     """
     k = _check_wavenumbers(k)
-    m12, m22 = _second_column(_steps(stack, k))
+    steps = _steps(stack, k)
+    m12, m22 = _walk(0j, 1.0 + 0j, steps, [len(steps)])[len(steps)]
     entries = (np.conj(m22), m12, np.conj(m12), m22)
     return tuple(np.broadcast_to(np.asarray(m, dtype=complex), k.shape) for m in entries)
 
@@ -215,14 +215,15 @@ def region_amplitude_sweep(
     ``k``, ``a_in`` and ``d_in`` broadcast together, and every returned array
     has their broadcast shape (the drive arrays are read-only views).  Region
     0 lies left of the stack and region i right of element i - 1, so the
-    first pair is (a_in, b_out) and the last (c_out, d_in).  Each interior
-    region is propagated from the nearer end: forward from (a_in, b_out) or
-    backward from (c_out, d_in).  Linear in the drive.
+    first pair is (a_in, b_out) and the last (c_out, d_in).  Each region is
+    solved from both ends at once (module docstring), so every region keeps
+    its digits off resonance at large zeta.  The walks run on the shape of
+    ``k`` and only the solve on the drive's.  Linear in the drive.
 
     ``regions`` lists the region indices to return, in that order; negative
     indices count from the end and ``None`` means every region.  Only those
-    regions are computed, and only the steps they need are taken: the last
-    region needs neither b_out nor any propagation.
+    regions are solved, and the walk from the right stops at the leftmost of
+    them: the last region needs none.
     """
     count = len(stack.elements) + 1
     if regions is None:
@@ -242,10 +243,15 @@ def region_amplitude_sweep(
     shape = np.broadcast_shapes(k.shape, a.shape, d.shape)
     a, d = np.broadcast_to(a, shape), np.broadcast_to(d, shape)
     steps = _steps(stack, k)
+    last = count - 1
     # |m22|^2 = 1 + |m12|^2 at real k, so m22 never vanishes, but the column overflows for
     # large zeta (near 1e77 for four mirrors)
     with np.errstate(over="ignore", invalid="ignore"):
-        m12, m22 = _second_column(steps)
+        # (l12, l22) of the elements left of each region; at the last region (m12, m22)
+        left = _walk(0j, 1.0 + 0j, steps, set(wanted) | {last})
+        # the reversed steps give (-r21, r22) of the elements right of each region
+        right = _walk(0j, 1.0 + 0j, steps[::-1], {last - i for i in wanted})
+    m12, m22 = left[last]
     bad = ~(np.isfinite(m12) & np.isfinite(m22))
     if bad.any():
         k_bad = float(np.broadcast_to(k, shape)[np.broadcast_to(bad, shape)][0])
@@ -254,19 +260,12 @@ def region_amplitude_sweep(
             f"boundary solve: the transfer matrix overflows at k = {k_bad!r} (largest mirror zeta = {zeta!r})"
         )
 
-    # each region from the nearer end, so that no region is propagated through more than half the stack
-    last = count - 1
-    from_left = [i for i in wanted if 2 * i <= last]
-    from_right = [last - i for i in wanted if 2 * i > last]
-    found = {}
-    # det M = 1 exactly for mirror/gap products: the closed forms for b_out and c_out
-    if from_left:
-        found.update(_walk(a, (d - np.conj(m12) * a) / m22, steps, from_left))
-    if from_right:
-        # the inverse steps, right to left: a mirror's with -zeta, a gap's with p and 1/p swapped
-        back = [(-s, None) if q is None else (q, s) for s, q in reversed(steps)]
-        found.update((last - j, pair) for j, pair in _walk((a + m12 * d) / m22, d, back, from_right).items())
-    return [found[i] for i in wanted]
+    def solve(i):
+        # l22*A - l12*B = a_in and r21*A + r22*B = d_in, whose determinant is m22 since det M = 1
+        (l12, l22), (x, r22) = left[i], right[last - i]
+        return (a if i == 0 else (a * r22 + l12 * d) / m22, d if i == last else (l22 * d + x * a) / m22)
+
+    return [solve(i) for i in wanted]
 
 
 def _m22_and_derivative(stack: OpticalStack, omega: complex) -> tuple[complex, complex]:

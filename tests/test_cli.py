@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import cascavity
+import scattering_oracle as oracle
 from cascavity import (
     build_cascade,
     default_omega_window,
@@ -695,6 +697,35 @@ class TestExtremeZeta:
         assert result.exit_code == 3
         assert "boundary solve" in result.output and "zeta = 1e+100" in result.output
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_region_intensities_keep_their_digits_off_resonance(self, tmp_path):
+        # at zeta = 1e8 the fiber and the left cavity lie where a wave propagated from one end of the stack loses
+        # every digit (fiber intensity 267.5 for an exact 2.7e-22); the rows must match a 150-digit solve
+        sweep = {"parameter": "omega", "min": 31.0, "max": 32.0, "points": 201}
+        phases = {"min": -3.14159, "max": 3.14159, "points": 5}
+        for command in ("profile", "darkmode"):
+            result = self.run(tmp_path, command, 1e8, sweep=sweep, phase_grid=phases)
+            assert result.exit_code == 0, result.output
+        stack = build_cascade(1e8, 1.0, 5.0, 10).stack
+        _, header, rows = read_csv(tmp_path / "out" / "profile.csv")
+        with mpmath.workdps(150):
+            for row in rows[::50]:
+                omega = float(row[0])
+                regions = oracle.solve(stack, mpmath.mpf(omega), 1, 0, mpmath.exp)[2]
+                for name, (right, left) in (("scat_left", regions[1]), ("scat_right", regions[5])):
+                    want = abs(right) ** 2 + abs(left) ** 2
+                    assert abs(float(row[header.index(name)]) - want) <= 1e-12 * want, (name, omega)
+        _, header, rows = read_csv(tmp_path / "out" / "darkmode.csv")
+        assert len(rows) == 201 * 5
+        with mpmath.workdps(150):
+            for row in rows[::47]:
+                omega, phi = float(row[0]), float(row[1])
+                u, v = (oracle.solve(stack, mpmath.mpf(omega), *drive, mpmath.exp)[2][3] for drive in ((1, 0), (0, 1)))
+                r = mpmath.exp(-1j * mpmath.mpf(phi))
+                want = abs(u[0] + r * v[0]) ** 2 + abs(u[1] + r * v[1]) ** 2
+                # relative to (|u| + |v|)^2, which bounds the map over phi, since u + r*v may cancel
+                scale = (mpmath.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2) + mpmath.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)) ** 2
+                assert abs(float(row[header.index("fiber_intensity")]) - want) <= 1e-12 * scale, (omega, phi)
 
     @pytest.mark.parametrize("command", ["spectrum", "delta", "profile", "darkmode", "match"])
     def test_kappa_underflow(self, tmp_path, command):

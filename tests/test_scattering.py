@@ -16,6 +16,8 @@ from cascavity import (
     SingularBoundaryError,
     build_cascade,
     compose,
+    dark_mode_scan,
+    default_omega_window,
     mirror_chain,
     mode_poles,
     region_amplitude_sweep,
@@ -346,6 +348,49 @@ class TestRegionSelection:
     def test_rejects_bad_indices(self, index):
         with pytest.raises(InvalidParameterError, match=f"region index {re.escape(repr(index))} .*8 regions"):
             region_amplitude_sweep(self.stack, 31.6, 1.0, 0.0, regions=[0, index])
+
+
+class TestLargeZetaRegions:
+    """Every region off resonance at large zeta, against the same double-valued stack at 150 digits.
+
+    For a drive from one side, the incoming and reflected waves on that side
+    nearly cancel inside the stack; a region propagated from there loses its
+    digits (the fiber region under the drive (1, 0) was 2.4e17 off at
+    zeta = 1e6).  The reference is ``scattering_oracle.solve`` with mpmath's
+    exponential, so the only error left is the engine's own rounding.
+    """
+
+    grid = np.linspace(31.0, 32.0, 201)[::25]
+
+    @pytest.mark.parametrize("zeta", [100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("drive", [(1.0, 0.0), (0.0, 1.0)], ids=["left", "right"])
+    def test_every_region_matches_150_digit_solve(self, zeta, drive):
+        stack = build_cascade(zeta, 1.0, 5.0, 10).stack
+        regions = region_amplitude_sweep(stack, self.grid, *drive)
+        with mpmath.workdps(150):
+            for n, k in enumerate(self.grid):
+                _, _, exact = oracle.solve(stack, mpmath.mpf(k), *drive, mpmath.exp)
+                for i, ((right, left), (want_right, want_left)) in enumerate(zip(regions, exact)):
+                    want = float(abs(want_right) ** 2 + abs(want_left) ** 2)
+                    got = abs(right[n]) ** 2 + abs(left[n]) ** 2
+                    assert abs(got - want) <= 1e-12 * want, (k, i)
+
+    def test_dark_mode_map_matches_150_digit_solve(self):
+        # the default darkmode window and phase grid; the error is relative to (|u| + |v|)^2, which bounds each row
+        setup = build_cascade(1000.0, 1.0, 5.0, 10)
+        omega = default_omega_window(setup, 401)
+        phis = np.linspace(-3.14159, 3.14159, 181)
+        scan = dark_mode_scan(setup.stack, omega, phis)
+        with mpmath.workdps(150):
+            for i in range(0, omega.size, 10):
+                k = mpmath.mpf(omega[i])
+                u = oracle.solve(setup.stack, k, 1, 0, mpmath.exp)[2][3]
+                v = oracle.solve(setup.stack, k, 0, 1, mpmath.exp)[2][3]
+                scale = (mpmath.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2) + mpmath.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)) ** 2
+                for j in range(0, phis.size, 9):
+                    r = mpmath.exp(-1j * mpmath.mpf(phis[j]))
+                    want = abs(u[0] + r * v[0]) ** 2 + abs(u[1] + r * v[1]) ** 2
+                    assert abs(scan.intensity[i, j] - want) <= 1e-9 * scale, (i, j)
 
 
 class TestTransmissionPoles:

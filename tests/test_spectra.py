@@ -58,7 +58,7 @@ class TestSweeps:
         assert np.all(spec.values == 1.0)
 
     def test_transmission_builds_no_unread_region(self):
-        # the last region needs no b_out and no propagation through the stack
+        # the last region needs no walk from the right, only the running column (m12, m22)
         setup = build_cascade(5.0, 1.0, 5.0, 10)
         grid = default_omega_window(setup, 200001)
         tracemalloc.start()
@@ -319,8 +319,8 @@ class TestIntensityComparison:
         assert abs(ratio - 1.0) > 0.05
 
     def test_both_cavities_match_50_digit_solve(self):
-        # the right cavity must come back from (c_out, d_in): forward
-        # propagation through five elements loses 1e-8 relative here
+        # each cavity is solved from both ends at once; propagating the right cavity
+        # forward from (a_in, b_out) through five elements lost 1e-8 relative here
         setup = build_cascade(200.0, 1.0, 5.0, 10)
         grid = default_omega_window(setup, 4001)
         scat_left, scat_right, _, _ = intensity_comparison(setup, grid)
@@ -392,12 +392,13 @@ class TestDarkModeScan:
 class TestHighZetaAccuracy:
     """Four-mirror chain at zeta = 1000 (README geometry) on a 40,001-point grid.
 
-    The transmitted amplitude must come from the det M = 1 closed form
-    c_out = (a_in + m12*d_in)/m22; propagating the drive forward through the
-    stack loses up to 7e-3 relative here, which adds hundreds of spurious
-    local maxima to the spectrum.  The reference is the same double-valued
-    stack at 50 digits: the two-sided double-precision oracle is itself
-    2e-8 off at this zeta.
+    The transmitted amplitude is the last region's two-sided solve, which
+    there is c_out = (a_in + m12*d_in)/m22 with det M = 1; propagating the
+    drive forward through the stack loses up to 7e-3 relative here, which
+    adds hundreds of spurious local maxima to the spectrum.  The reference is
+    the same double-valued stack at 50 digits: the double-precision oracle,
+    which multiplies whole 2x2 matrices, is itself 2e-8 off at this zeta, the
+    engine 2e-9.
     """
 
     @classmethod
