@@ -12,7 +12,6 @@ from .errors import (
 )
 from .matching import (
     CascadedMatch,
-    eta_from_input,
     g_from_geometry,
     kappa_from_geometry,
     match_cascaded,

@@ -167,9 +167,10 @@ class PhaseConfig:
 class FieldDrive:
     """Incident field amplitudes: a_in from the left, d_in * exp(-i d_phase) from the right.
 
-    The coupled model's pumps are these fields times the port rate,
-    eta = sqrt(kappa) * A, so a pump eta_l, eta_r * exp(-i phi) is the field
-    drive a_in = eta_l / sqrt(kappa), d_in = eta_r / sqrt(kappa), d_phase = phi.
+    Both models take these fields; the coupled engine turns each into a pump
+    through its port rate, eta = sqrt(kappa) * A.  A run written with pumps
+    eta_l, eta_r * exp(-i phi) is the field drive a_in = eta_l / sqrt(kappa),
+    d_in = eta_r / sqrt(kappa), d_phase = phi.
     """
 
     a_in: float = _key(_nonnegative, 1.0)

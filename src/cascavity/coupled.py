@@ -3,11 +3,14 @@
 Two cavity modes a, b (resonance ``omega_c``, amplitude decay ``kappa``)
 couple with strength ``g`` to a lossless intermediate mode c (resonance
 ``omega_f``).  ``ModeSystem`` holds only these four parameters; the drive
-is an argument of each solve, as in the scattering engine.  Complex
-coherent pumps ``eta_l`` (on a) and ``eta_r`` (on b, carrying any relative
-phase, e.g. eta * e^{-i*phi}) oscillate at the drive frequency ``omega``.
-In the frame rotating at the drive frequency the mean-field steady state
-solves, with detunings dc = omega_c - omega and df = omega_f - omega,
+is an argument of each solve, spelled as in the scattering engine: complex
+incident fields ``a_in`` on a and ``d_in`` on b (carrying any relative
+phase, e.g. d * e^{-i*phi}) at the drive frequency ``omega``.  Each field
+enters its mode through the port rate (input-output theory), as the pump
+eta = sqrt(kappa) * field, which makes the single-cavity peak transmission
+that of the scattering model.  In the frame rotating at the drive
+frequency the mean-field steady state solves, with detunings
+dc = omega_c - omega and df = omega_f - omega,
 
     (i*dc + kappa) * alpha + i*g*gamma = -i * eta_l
     (i*dc + kappa) * beta  + i*g*gamma = -i * eta_r
@@ -16,12 +19,19 @@ solves, with detunings dc = omega_c - omega and df = omega_f - omega,
 The system is linear in the drive, so the steady state is a coherent state
 and (alpha, beta, gamma) determine every observable; photon numbers are
 |alpha|^2 etc., and the flux detected behind the right cavity is
-kappa * |beta|^2.  The solver works in the symmetric/antisymmetric basis
-s = alpha + beta, d = alpha - beta, where the equations decouple into a 1x1
-and a 2x2 block; the 2x2 block is nonsingular whenever g > 0 in exact
-arithmetic (in floats only when 2*g^2 does not underflow), and for g = 0
-the undriven gamma is set to zero (degenerate only when df = 0 as well,
-which needs no special treatment beyond that convention).
+kappa * |beta|^2.  The solver eliminates both cavities from the fiber
+row, solves it for gamma, and feeds gamma back into each cavity row: with
+det = (i*dc + kappa)*(i*df) + 2*g^2,
+
+    gamma = -g * (eta_l + eta_r) / det
+    alpha = -i * (eta_l + g*gamma) / (i*dc + kappa)
+    beta  = -i * (eta_r + g*gamma) / (i*dc + kappa)
+
+so an undriven cavity's amplitude is a product, never a difference of
+nearly equal terms, and keeps its digits at any zeta.  det is nonzero
+whenever g > 0 in exact arithmetic (in floats only when 2*g^2 does not
+underflow).  For g = 0 the fiber row is 0/0 at omega = omega_f, and the
+undriven gamma is set to zero by convention.
 
 The model's resonances are the complex eigenvalues of its matrix,
 ``mode_poles``; the lossless normal-mode frequencies are their real parts
@@ -60,35 +70,28 @@ class ModeSystem:
             raise InvalidParameterError(f"g must be nonnegative, got {self.g!r}")
 
 
-def _steady_state_arrays(system: ModeSystem, omega, eta_l: complex, eta_r: complex):
-    """Steady state (alpha, beta, gamma) over drive frequencies ``omega`` for complex pumps eta_l, eta_r."""
-    eta_l, eta_r = complex(eta_l), complex(eta_r)
-    if not (cmath.isfinite(eta_l) and cmath.isfinite(eta_r)):
-        raise InvalidParameterError(f"pump amplitudes must be finite, got eta_l={eta_l!r}, eta_r={eta_r!r}")
+def _steady_state_arrays(system: ModeSystem, omega, a_in: complex, d_in: complex):
+    """Steady state (alpha, beta, gamma) over drive frequencies ``omega`` for incident fields a_in (on a), d_in (on b)."""
+    a_in, d_in = complex(a_in), complex(d_in)
+    if not (cmath.isfinite(a_in) and cmath.isfinite(d_in)):
+        raise InvalidParameterError(f"incident fields must be finite, got a_in={a_in!r}, d_in={d_in!r}")
+    eta_l, eta_r = math.sqrt(system.kappa) * a_in, math.sqrt(system.kappa) * d_in
     omega = np.asarray(omega, dtype=float)
-    dc = system.omega_c - omega
-    df = system.omega_f - omega
-    denom_d = 1j * dc + system.kappa
-    drive_sum = -1j * (eta_l + eta_r)
-    drive_diff = -1j * (eta_l - eta_r)
-
-    d = drive_diff / denom_d
+    cavity = 1j * (system.omega_c - omega) + system.kappa
     if system.g == 0.0:
-        s = drive_sum / denom_d
-        gamma = np.zeros_like(s)
+        gamma = np.zeros_like(cavity)
     else:
-        det2 = denom_d * (1j * df) + 2.0 * system.g**2
-        # reachable: 2*g**2 underflows to 0 for g near 1e-200, and at omega = omega_f det2 is then exactly 0
-        bad = np.abs(det2) == 0.0
+        det = cavity * (1j * (system.omega_f - omega)) + 2.0 * system.g**2
+        # reachable: 2*g**2 underflows to 0 for g near 1e-200, and at omega = omega_f det is then exactly 0
+        bad = det == 0.0
         if np.any(bad):
             raise SingularSystemError(
                 f"steady-state system is singular at omega = {float(omega[bad][0])!r}:"
                 f" 2*g**2 underflows to {2.0 * system.g**2!r} for g = {system.g!r}"
             )
-        s = drive_sum * (1j * df) / det2
-        gamma = -1j * system.g * drive_sum / det2
-    alpha = 0.5 * (s + d)
-    beta = 0.5 * (s - d)
+        gamma = -system.g * (eta_l + eta_r) / det
+    alpha = -1j * (eta_l + system.g * gamma) / cavity
+    beta = -1j * (eta_r + system.g * gamma) / cavity
     return alpha, beta, gamma
 
 

@@ -20,9 +20,9 @@ split by 2g with
 
     g = c / (2 * sqrt(l1 * l2) * sqrt(1 + zeta^2)),
 
-the geometric-mean length entering through the mode normalizations.  A pump
-of incident amplitude A maps to the drive strength eta = sqrt(kappa) * A,
-which makes the two models' single-cavity peak transmissions coincide.
+the geometric-mean length entering through the mode normalizations.  Both
+models take the same incident fields; the coupled model turns them into
+pumps through its port rate sqrt(kappa) (``cascavity.coupled``).
 
 All functions use c = 1 and require zeta > 0 (reflective mirrors, where the
 Lorentzian description of a resonance is meaningful).
@@ -96,14 +96,6 @@ def nearest_order(zeta: float, l_c: float, target_omega: float) -> int:
     _require_positive(zeta=zeta, l_c=l_c, target_omega=target_omega)
     n = round((target_omega * l_c - resonance_phase(zeta)) / math.pi)
     return max(1, int(n))
-
-
-def eta_from_input(kappa: float, a_in_magnitude: float) -> float:
-    """Pump amplitude equivalent to an incident field of magnitude |A|."""
-    _require_positive(kappa=kappa)
-    if not (math.isfinite(a_in_magnitude) and a_in_magnitude >= 0):
-        raise InvalidParameterError(f"a_in_magnitude must be nonnegative, got {a_in_magnitude!r}")
-    return math.sqrt(kappa) * a_in_magnitude
 
 
 def g_from_geometry(zeta: float, l1: float, l2: float) -> float:

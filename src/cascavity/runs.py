@@ -34,7 +34,6 @@ monkeypatch a runner.  ``svgplot`` is imported only when a plot is drawn.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import replace
 from functools import partial
@@ -45,7 +44,6 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, SweepConfig
 from .errors import ConfigError
-from .matching import eta_from_input
 from .output import config_json, write_csv, write_json
 from .spectra import (
     DEFAULT_GRID_POINTS,
@@ -197,17 +195,16 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
         raise ConfigError("spectrum values are per unit incident power: drive.a_in must be > 0")
     if geo.single_cavity and drive.d_in != 0.0:
         raise ConfigError("single_cavity runs support left-side drive only: drive.d_in must be 0")
-    eta_l, eta_r = (eta_from_input(setup.system.kappa, field) for field in (drive.a_in, drive.d_in))
-    # the single cavity is the measured mode b
-    pumps = (0.0, eta_l) if geo.single_cavity else (eta_l, eta_r * cmath.exp(-1j * drive.d_phase))
     d_drive = drive.d_in * np.exp(-1j * drive.d_phase)
+    # the single cavity is the measured mode b
+    fields = (0.0, drive.a_in) if geo.single_cavity else (drive.a_in, d_drive)
 
     def compute(grid):
         columns = [("omega", grid)]
         if config.model in ("scattering", "both"):
             columns.append(("scattering_value", sweep_scattering(setup.stack, grid, drive.a_in, d_drive).values))
         if config.model in ("coupled", "both"):
-            columns.append(("coupled_value", sweep_coupled(setup.system, grid, *pumps).values / drive.a_in**2))
+            columns.append(("coupled_value", sweep_coupled(setup.system, grid, *fields).values / drive.a_in**2))
         return [("spectrum.csv", columns)]
 
     series = [(model, f"{model}_value") for model in ("scattering", "coupled") if config.model in (model, "both")]
@@ -317,7 +314,7 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
     """Matched coupled-mode parameters with formula provenance -> params.json."""
     setup = _cascade_at(config, "match")(config.geometry.zeta)
     match, drive = setup.match, config.drive
-    eta_l, eta_r = (eta_from_input(match.kappa, field) for field in (drive.a_in, drive.d_in))
+    eta_l, eta_r = (math.sqrt(match.kappa) * field for field in (drive.a_in, drive.d_in))
     payload = {
         "version": __version__,
         "config": config.resolved(),

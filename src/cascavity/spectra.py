@@ -10,8 +10,8 @@ free spectral range at finite mirror reflectivity.  The nominal geometry
 remains available via ``fiber_alignment="nominal"``.
 
 Setups carry only the models (stack, mode system, matched parameters); the
-drive is an argument of each sweep, field amplitudes for the scattering
-model and complex pumps for the coupled model.
+drive is an argument of each sweep, the incident fields ``a_in``, ``d_in``
+for both models.
 
 ``peak_separation_delta`` compares the models' resonances as complex poles,
 without a sweep, on the cascade its caller builds at each zeta (``delta``
@@ -35,7 +35,6 @@ from .coupled import ModeSystem, _steady_state_arrays, mode_poles
 from .errors import FitFailureError, InvalidParameterError, PoleSearchError
 from .matching import (
     CascadedMatch,
-    eta_from_input,
     g_from_geometry,
     kappa_from_geometry,
     match_cascaded,
@@ -157,10 +156,10 @@ def sweep_scattering(stack: OpticalStack, omega_grid, a_in: complex = 1.0, d_in:
     return Spectrum(grid, np.abs(c_out) ** 2 / abs(complex(a_in)) ** 2)
 
 
-def sweep_coupled(system: ModeSystem, omega_grid, eta_l: complex, eta_r: complex = 0.0) -> Spectrum:
-    """Detected flux kappa * |beta|^2 versus drive frequency for complex pumps eta_l (on a), eta_r (on b)."""
+def sweep_coupled(system: ModeSystem, omega_grid, a_in: complex = 1.0, d_in: complex = 0.0) -> Spectrum:
+    """Detected flux kappa * |beta|^2 versus drive frequency for incident fields a_in (on a), d_in (on b)."""
     grid = _check_grid(omega_grid)
-    _, beta, _ = _steady_state_arrays(system, grid, eta_l, eta_r)
+    _, beta, _ = _steady_state_arrays(system, grid, a_in, d_in)
     return Spectrum(grid, system.kappa * np.abs(beta) ** 2)
 
 
@@ -368,8 +367,8 @@ def build_single_cavity(zeta: float, l_c: float, n_c: int) -> CascadeSetup:
     """Symmetric two-mirror cavity paired with the matched single-mode model (g = 0).
 
     The single driven cavity embeds into the three-mode template as the
-    measured mode b (the detected flux is kappa * |beta|^2), so its pump
-    enters as eta_r.
+    measured mode b (the detected flux is kappa * |beta|^2), so its incident
+    field enters the coupled model as d_in.
     """
     kappa = kappa_from_geometry(zeta, l_c)
     omega_c = omega_c_from_geometry(zeta, l_c, n_c)
@@ -451,15 +450,15 @@ def intensity_comparison(setup: CascadeSetup, omega_grid) -> tuple[np.ndarray, n
     """Left/right cavity intensities for a unit left-side drive, in both models, on ``omega_grid``.
 
     Returns (scattering left, scattering right, coupled left, coupled right).
-    Scattering curves are |A|^2 + |B|^2 of the cavity gap regions with
-    a_in = 1; coupled curves are the photon numbers |alpha|^2, |beta|^2 with
-    the matched drive eta_l = sqrt(kappa).
+    Scattering curves are |A|^2 + |B|^2 of the cavity gap regions and
+    coupled curves the photon numbers |alpha|^2, |beta|^2, both under the
+    incident fields a_in = 1, d_in = 0.
     """
     grid = _check_grid(omega_grid)
     gap_regions = setup.stack.gap_region_indices()
     cavities = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0, regions=[gap_regions[0], gap_regions[2]])
     scat_left, scat_right = (np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in cavities)
-    alpha, beta, _ = _steady_state_arrays(setup.system, grid, eta_from_input(setup.system.kappa, 1.0), 0.0)
+    alpha, beta, _ = _steady_state_arrays(setup.system, grid, 1.0, 0.0)
     return scat_left, scat_right, np.abs(alpha) ** 2, np.abs(beta) ** 2
 
 

@@ -158,14 +158,15 @@ def test_criterion_08_coupled_model_analytics():
     kappa, eta_l = 0.5, 1.0
     sys0 = ModeSystem(10.0, 10.0, 0.0, kappa)
     omega = np.linspace(8.0, 12.0, 801)
-    alpha, _, _ = _steady_state_arrays(sys0, omega, eta_l, 0.0)
+    alpha, _, _ = _steady_state_arrays(sys0, omega, eta_l / math.sqrt(kappa), 0.0)
     lorentz_err = float(np.max(np.abs(kappa * np.abs(alpha) ** 2 - kappa * eta_l**2 / ((omega - 10.0) ** 2 + kappa**2))))
 
     worst_gamma = 0.0
     for g in (0.02, 0.1, 0.5):
         for kap in (0.01, 0.2):
             sys_dark = ModeSystem(10.0, 10.0, g, kap)
-            _, _, gamma = _steady_state_arrays(sys_dark, omega, 0.7, 0.7 * cmath.exp(-1j * math.pi))
+            field = 0.7 / math.sqrt(kap)
+            _, _, gamma = _steady_state_arrays(sys_dark, omega, field, field * cmath.exp(-1j * math.pi))
             worst_gamma = max(worst_gamma, float(np.max(np.abs(gamma))))
 
     mid_exact = all(

@@ -6,7 +6,6 @@ import pytest
 
 from cascavity import (
     InvalidParameterError,
-    eta_from_input,
     g_from_geometry,
     kappa_from_geometry,
     match_cascaded,
@@ -118,34 +117,17 @@ class TestOmegaC:
 
 
 class TestEta:
-    def test_zero_input(self):
-        assert eta_from_input(0.5, 0.0) == 0.0
-
-    def test_unit_kappa(self):
-        assert eta_from_input(1.0, 2.0) == 2.0
-
-    def test_matched_value(self):
-        kappa = kappa_from_geometry(5.0, 1.0)
-        assert eta_from_input(kappa, 1.0) == pytest.approx(0.14004, abs=1e-5)
-
     def test_peak_photocurrent_matches_scattering_peak(self):
-        # eta = sqrt(kappa)*A makes the two single-cavity peak transmissions equal
+        # the coupled model's port rate, eta = sqrt(kappa)*A, makes the two single-cavity peak transmissions equal
         from cascavity import ModeSystem, sweep_coupled
 
         zeta, a_in = 5.0, 1.0
         kappa = kappa_from_geometry(zeta, 1.0)
         omega_c = omega_c_from_geometry(zeta, 1.0, 10)
-        eta = eta_from_input(kappa, a_in)
         sys = ModeSystem(omega_c, omega_c, 0.0, kappa)
-        (coupled_peak,) = sweep_coupled(sys, [omega_c], 0.0, eta).values
+        (coupled_peak,) = sweep_coupled(sys, [omega_c], 0.0, a_in).values
         _, scattering_peak = brute_force_peak(mirror_chain(zeta, 1.0), omega_c - 1, omega_c + 1)
         assert coupled_peak == pytest.approx(scattering_peak * a_in**2, rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(InvalidParameterError):
-            eta_from_input(-1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            eta_from_input(1.0, -0.5)
 
 
 class TestCouplingRate:

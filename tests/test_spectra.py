@@ -91,13 +91,12 @@ class TestSweeps:
 
     def test_coupled_single_lorentzian_height(self):
         setup = build_single_cavity(5.0, 1.0, 10)
-        eta = math.sqrt(setup.system.kappa)
-        spec = sweep_coupled(setup.system, default_omega_window(setup, 1001), 0.0, eta)
-        assert spec.values.max() == pytest.approx(eta**2 / setup.system.kappa, rel=1e-6)
+        spec = sweep_coupled(setup.system, default_omega_window(setup, 1001), 0.0, 1.0)
+        assert spec.values.max() == pytest.approx(1.0, rel=1e-6)
 
     def test_coupled_middle_peak_exactly_at_omega_c(self):
         setup = build_cascade(5.0, 1.0, 5.0, 10)
-        spec = sweep_coupled(setup.system, default_omega_window(setup, 4001), math.sqrt(setup.system.kappa))
+        spec = sweep_coupled(setup.system, default_omega_window(setup, 4001), 1.0)
         peaks = fit_oracle.fit_peaks(spec, find_peaks(spec))
         assert len(peaks) == 3
         mid = peaks[1]
@@ -107,9 +106,8 @@ class TestSweeps:
         from cascavity.coupled import _steady_state_arrays
 
         setup = build_cascade(5.0, 1.0, 5.0, 10)
-        eta = math.sqrt(setup.system.kappa)
         grid = default_omega_window(setup, 301)
-        alpha, beta, gamma = _steady_state_arrays(setup.system, grid, eta, eta * cmath.exp(-1j * math.pi))
+        alpha, beta, gamma = _steady_state_arrays(setup.system, grid, 1.0, cmath.exp(-1j * math.pi))
         assert np.max(np.abs(gamma)) < 1e-14
         assert np.max(np.abs(alpha)) > 1.0  # cavity observables survive
 
@@ -294,7 +292,7 @@ class TestPeakSeparationDelta:
 
     def test_model_against_itself_is_exactly_zero(self):
         setup = build_cascade(5.0, 1.0, 5.0, 10)
-        spec = sweep_coupled(setup.system, default_omega_window(setup, 3001), math.sqrt(setup.system.kappa))
+        spec = sweep_coupled(setup.system, default_omega_window(setup, 3001), 1.0)
         left_a, right_a = fit_oracle.three_peak_distances(spec)
         left_b, right_b = fit_oracle.three_peak_distances(spec)
         assert left_a - left_b == 0.0
