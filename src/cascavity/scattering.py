@@ -33,8 +33,8 @@ form [[conj(m22), m12], [conj(m12), m22]], so the engine carries only the
 second column (m12, m22) through the stack.  A mirror maps (x, y) to
 (x + w, y - w) with w = i*zeta*(x + y), a gap to (p*x, y/p) with p = e^{ikl};
 gaps of equal length share one phase, so the cavity-fiber-cavity chain takes
-two exponentials, not three.  The same steps, at complex omega, carry
-dm22/domega for the pole search.
+two exponentials, not three.  One walk takes these steps for every caller,
+on arrays or, in the pole search, on Python complex scalars.
 
 Every region is solved from both ends at once.  With L and R the products of
 the elements left and right of a region, the drive fixes l22*A - l12*B = a_in
@@ -53,14 +53,21 @@ propagated from the driven end, which off resonance at large zeta loses every
 digit.  At the ends the solve gives b_out = (d_in - m21*a_in)/m22 and
 c_out = (a_in + m12*d_in)/m22, free of the cancellation of the textbook
 ``c_out = m11*a_in + m12*b_out``, and keeps a_in and d_in exact.
+
+The same two walks, at a complex omega, give dm22/domega for the pole
+search.  A gap's factor G = diag(p, 1/p), p = e^{i*omega*l}, has
+dG/domega = i*l*J*G, so the derivative is a sum over gaps of
+-i*l*(-r21*l12 + r22*l22) at the region right of each gap, from pairs the
+two walks already hold: no derivative is carried through the stack.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -144,8 +151,33 @@ def mirror_chain(zeta: float, *gaps: float) -> OpticalStack:
 
 
 # ---------------------------------------------------------------------------
-# The transfer-matrix engine.  A step maps a pair across one element: a
-# mirror's step is (i*zeta, None), a gap's (e^{ikl}, e^{-ikl}).
+# The transfer-matrix engine.  Each call builds its stack's plan once: one op
+# per element, a mirror's i*zeta or the index of a gap's length among the
+# stack's distinct lengths, whose phase pair (e^{ikl}, e^{-ikl}) is evaluated
+# once per k.
+
+
+class _Plan(NamedTuple):
+    """What every walk over one stack needs, and the gaps and stops of the pole search's two walks."""
+
+    ops: tuple  # per element: a mirror's complex i*zeta, or the int index of a gap's length in ``lengths``
+    lengths: tuple[float, ...]  # the distinct gap lengths, in order of first appearance
+    gaps: tuple[tuple[int, int, complex], ...]  # per gap: the region right of it, that region's stop from the right, i*l
+    left_stops: tuple[int, ...]  # the regions right of each gap, and the last region, increasing
+    right_stops: tuple[int, ...]  # the same gap regions counted from the right, increasing
+
+
+def _plan(stack: OpticalStack) -> _Plan:
+    index, ops, gaps = {}, [], []
+    last = len(stack.elements)
+    for j, e in enumerate(stack.elements):
+        if isinstance(e, Mirror):
+            ops.append(1j * e.zeta)
+        else:
+            ops.append(index.setdefault(e.length, len(index)))
+            gaps.append((j + 1, last - j - 1, 1j * e.length))
+    left_stops = tuple(sorted({last, *(region for region, _, _ in gaps)}))
+    return _Plan(tuple(ops), tuple(index), tuple(gaps), left_stops, tuple(sorted(stop for _, stop, _ in gaps)))
 
 
 def _check_wavenumbers(k) -> np.ndarray:
@@ -156,42 +188,36 @@ def _check_wavenumbers(k) -> np.ndarray:
     return k
 
 
-def _steps(stack: OpticalStack, k) -> list[tuple]:
-    """One step per element, at real or complex ``k``; gaps of equal length share their phase arrays."""
-    phases = {}
-    steps = []
-    for e in stack.elements:
-        if isinstance(e, Mirror):
-            steps.append((1j * e.zeta, None))
-        else:
-            if e.length not in phases:
-                p = np.exp(1j * e.length * k)
-                phases[e.length] = (p, 1.0 / p)
-            steps.append(phases[e.length])
-    return steps
+def _phases(plan: _Plan, k) -> list[tuple]:
+    """(e^{ikl}, e^{-ikl}) per distinct gap length: arrays shaped like an array ``k``, Python scalars at a Python complex."""
+    exp = cmath.exp if type(k) is complex else np.exp
+    phases = []
+    for length in plan.lengths:
+        p = exp(1j * length * k)
+        phases.append((p, 1.0 / p))
+    return phases
 
 
-def _step(step, x, y):
-    """Map an amplitude pair, or the second matrix column, across one element (left side -> right side).
+def _walk(x, y, ops, phases, stops) -> dict:
+    """The pair (x, y) after j of ``ops``, for each j in the increasing ``stops``; takes only the steps it needs.
 
-    Returns new values and leaves its arguments unchanged, for mirrors and gaps alike.
+    A mirror maps (x, y) to (x + w, y - w) with w = i*zeta*(x + y), a gap to
+    (p*x, q*y) with (p, q) its entry in ``phases``.  Every step makes new
+    values, so a pair once found is never changed.  Arrays and Python
+    scalars take the same path.
     """
-    s, q = step
-    if q is None:
-        w = s * (x + y)
-        return x + w, y - w
-    return s * x, q * y
-
-
-def _walk(x, y, steps, stops) -> dict:
-    """The pair (x, y) after j of ``steps``, for each j in ``stops``; takes only the steps it needs."""
     found = {}
-    end = max(stops, default=0)
-    for j in range(end + 1):
-        if j in stops:
-            found[j] = (x, y)
-        if j < end:
-            x, y = _step(steps[j], x, y)
+    j = 0
+    for stop in stops:
+        for s in ops[j:stop]:
+            if type(s) is int:
+                p, q = phases[s]
+                x, y = p * x, q * y
+            else:
+                w = s * (x + y)
+                x, y = x + w, y - w
+        found[stop] = x, y
+        j = stop
     return found
 
 
@@ -201,8 +227,9 @@ def compose(stack: OpticalStack, k):
     The matrix is lossless: m11 = conj(m22) and m21 = conj(m12) exactly.
     """
     k = _check_wavenumbers(k)
-    steps = _steps(stack, k)
-    m12, m22 = _walk(0j, 1.0 + 0j, steps, [len(steps)])[len(steps)]
+    plan = _plan(stack)
+    last = len(plan.ops)
+    m12, m22 = _walk(0j, 1.0 + 0j, plan.ops, _phases(plan, k), [last])[last]
     entries = (np.conj(m22), m12, np.conj(m12), m22)
     return tuple(np.broadcast_to(np.asarray(m, dtype=complex), k.shape) for m in entries)
 
@@ -242,15 +269,16 @@ def region_amplitude_sweep(
         raise InvalidParameterError("drive amplitudes a_in and d_in must be finite")
     shape = np.broadcast_shapes(k.shape, a.shape, d.shape)
     a, d = np.broadcast_to(a, shape), np.broadcast_to(d, shape)
-    steps = _steps(stack, k)
+    plan = _plan(stack)
+    phases = _phases(plan, k)
     last = count - 1
     # |m22|^2 = 1 + |m12|^2 at real k, so m22 never vanishes, but the column overflows for
     # large zeta (near 1e77 for four mirrors)
     with np.errstate(over="ignore", invalid="ignore"):
         # (l12, l22) of the elements left of each region; at the last region (m12, m22)
-        left = _walk(0j, 1.0 + 0j, steps, set(wanted) | {last})
+        left = _walk(0j, 1.0 + 0j, plan.ops, phases, sorted({*wanted, last}))
         # the reversed steps give (-r21, r22) of the elements right of each region
-        right = _walk(0j, 1.0 + 0j, steps[::-1], {last - i for i in wanted})
+        right = _walk(0j, 1.0 + 0j, plan.ops[::-1], phases, sorted({last - i for i in wanted}))
     m12, m22 = left[last]
     bad = ~(np.isfinite(m12) & np.isfinite(m22))
     if bad.any():
@@ -268,51 +296,60 @@ def region_amplitude_sweep(
     return [solve(i) for i in wanted]
 
 
-def _m22_and_derivative(stack: OpticalStack, omega: complex) -> tuple[complex, complex]:
-    """m22 and dm22/domega at one complex ``omega``, from one forward-mode pass over the steps.
+def _m22_and_derivative(plan: _Plan, omega: complex) -> tuple[complex, complex]:
+    """m22 and dm22/domega at complex ``omega``, a Python complex or an array, from the region solve's two walks.
 
-    The second column (m12, m22) and its derivative are carried together.
-    Mirrors do not depend on omega; a gap maps (x, y) to (p*x, y/p) with
-    p = e^{i*omega*l}, whose derivative adds (i*l*p*x, -i*l*y/p).
+    A gap's factor G = diag(p, 1/p), p = e^{i*omega*l}, has dG/domega =
+    i*l*J*G with J = diag(1, -1), so dM/domega is the sum over gaps of
+    i*l * R J L, with L the product up to and including the gap and R the
+    product right of it.  Its (2, 2) entry is -i*l*(x_R*l12 + r22*l22), with
+    (l12, l22) from the walk from the left and (x_R, r22) = (-r21, r22) from
+    the walk of the reversed steps, both at the region right of the gap.
+    At a Python complex the whole pass runs on Python scalars, so where
+    numpy gives inf or nan it may raise OverflowError (``cmath.exp``) or
+    ZeroDivisionError (a phase that underflows to 0).
     """
-    col, dcol = (0j, 1.0 + 0j), (0j, 0j)
-    for e, step in zip(stack.elements, _steps(stack, omega)):
-        dcol = _step(step, *dcol)
-        col = _step(step, *col)
-        if isinstance(e, Gap):
-            il = 1j * e.length
-            dcol = (dcol[0] + il * col[0], dcol[1] - il * col[1])
-    return col[1], dcol[1]
+    phases = _phases(plan, omega)
+    left = _walk(0j, 1.0 + 0j, plan.ops, phases, plan.left_stops)
+    right = _walk(0j, 1.0 + 0j, plan.ops[::-1], phases, plan.right_stops)
+    dm22 = 0j
+    for region, stop, il in plan.gaps:
+        (l12, l22), (x, r22) = left[region], right[stop]
+        dm22 -= il * (x * l12 + r22 * l22)
+    return left[len(plan.ops)][1], dm22
 
 
-# as in the boundary solve, the column overflows for large zeta: the finite check in the Newton loop names it
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def transmission_poles(stack: OpticalStack, starts) -> np.ndarray:
     """The complex zeros of m22(omega), the stack's transmission poles, by Newton's method.
 
     Entry i is the pole reached from ``starts[i]``: its real part is the
     resonance frequency and minus its imaginary part the half width.  Each
-    start iterates on its own until |step| <= 1e-15 * |omega|.  Raises
-    PoleSearchError when m22 or its derivative overflows, when a start has
-    not converged within ``_NEWTON_MAX_ITER`` steps or when two starts reach
-    the same pole; the message holds no comma, so it fits a CSV cell.
+    start iterates on its own, as one Python complex, until
+    |step| <= 1e-15 * |omega|.  Raises PoleSearchError when m22 or its
+    derivative overflows, when a start has not converged within
+    ``_NEWTON_MAX_ITER`` steps or when two starts reach the same pole; the
+    message holds no comma, so it fits a CSV cell.
     """
     starts = np.array(starts, dtype=complex)
     if starts.ndim != 1 or not np.all(np.isfinite(starts)):
         raise InvalidParameterError("pole search starts must be a finite 1-d sequence")
-    if not any(isinstance(e, Gap) for e in stack.elements):
+    plan = _plan(stack)
+    if not plan.lengths:
         raise InvalidParameterError("pole search needs a stack with a gap: without one m22 does not depend on omega")
-    poles = np.empty_like(starts)
+    poles = []
     for i, start in enumerate(starts.tolist()):
         omega = start
         for n in range(1, _NEWTON_MAX_ITER + 1):
-            m22, dm22 = _m22_and_derivative(stack, omega)
+            try:
+                m22, dm22 = _m22_and_derivative(plan, omega)
+                step = m22 / dm22
+            except (OverflowError, ZeroDivisionError):  # Python scalars raise where numpy gave inf or nan
+                m22 = dm22 = step = complex(math.nan, math.nan)
             if not (cmath.isfinite(m22) and cmath.isfinite(dm22)):
                 raise PoleSearchError(
                     f"pole search (Newton on m22): m22 or dm22/domega overflows at step {n} from start {i}"
                     f" at {start:.15g}; iterate {omega:.15g}"
                 )
-            step = m22 / dm22
             omega -= step
             if abs(step) <= _NEWTON_RTOL * abs(omega):
                 break
@@ -321,15 +358,14 @@ def transmission_poles(stack: OpticalStack, starts) -> np.ndarray:
                 f"pole search (Newton on m22): start {i} at {start:.15g} did not converge"
                 f" within {_NEWTON_MAX_ITER} steps; last iterate {omega:.15g}"
             )
-        poles[i] = omega
-    tolerance = _SAME_POLE_RTOL * np.abs(poles)
-    distance = np.abs(poles[:, None] - poles[None, :])
-    i, j = np.nonzero(np.triu(distance <= tolerance, 1))
-    if i.size:
-        i, j = i[0], j[0]
-        raise PoleSearchError(
-            f"pole search (distinct-pole check): starts {i} and {j} reached the same pole {poles[i]:.15g}:"
-            f" they end {distance[i, j]:.3g} apart: below the tolerance {tolerance[j]:.3g}"
-            f" ({_SAME_POLE_RTOL:g} |omega|) within which two poles count as one"
-        )
-    return poles
+        poles.append(omega)
+    # the first coinciding pair by the lowest i, then the lowest j, is the one named
+    for i, j in itertools.combinations(range(len(poles)), 2):
+        distance, tolerance = abs(poles[i] - poles[j]), _SAME_POLE_RTOL * abs(poles[j])
+        if distance <= tolerance:
+            raise PoleSearchError(
+                f"pole search (distinct-pole check): starts {i} and {j} reached the same pole {poles[i]:.15g}:"
+                f" they end {distance:.3g} apart: below the tolerance {tolerance:.3g}"
+                f" ({_SAME_POLE_RTOL:g} |omega|) within which two poles count as one"
+            )
+    return np.array(poles, dtype=complex)

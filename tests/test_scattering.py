@@ -437,6 +437,37 @@ class TestTransmissionPoles:
         with pytest.raises(PoleSearchError, match="same pole"):
             transmission_poles(setup.stack, [lo, mid, mid])
 
+    def test_distinct_pole_check_names_the_first_pair(self):
+        # pairs (0, 3) and (1, 2) both coincide: the lowest i is named first
+        setup = build_cascade(5.0, 1.0, 5.0, 10)
+        lo, mid, _ = mode_poles(setup.system)
+        with pytest.raises(PoleSearchError, match="starts 0 and 3 reached the same pole"):
+            transmission_poles(setup.stack, [lo, mid, mid, lo])
+
+    @pytest.mark.parametrize("start", [31.5 - 1000j, 31.5 + 1000j])
+    def test_overflowing_start_is_named(self, start):
+        # e^{i*omega*l} overflows below the axis and underflows to 0 above it: on Python scalars cmath.exp raises
+        # OverflowError and 1/p ZeroDivisionError, and either must reach the caller as the named overflow
+        with pytest.raises(PoleSearchError, match="overflows at step 1 from start 0"):
+            transmission_poles(build_cascade(5.0, 1.0, 5.0, 10).stack, [start])
+
+    def test_newton_work_is_pinned(self, monkeypatch):
+        # the ten zeta of the peaks-zeta benchmark from the coupled poles take 122 passes: a derivative that is
+        # right but less accurate takes more
+        passes = []
+        derivative = cascavity.scattering._m22_and_derivative
+
+        def counted(plan, omega):
+            passes.append(omega)
+            return derivative(plan, omega)
+
+        monkeypatch.setattr(cascavity.scattering, "_m22_and_derivative", counted)
+        for i in range(10):
+            setup = build_cascade(2.0 * 500.0 ** (i / 9), 1.0, 5.0, 10)
+            transmission_poles(setup.stack, mode_poles(setup.system))
+        # each of the 30 starts takes at least one pass
+        assert 30 <= len(passes) <= 122, len(passes)
+
     def test_rejects_a_stack_without_gaps(self):
         # m22 does not depend on omega, so Newton has no step to take
         for stack in (OpticalStack([]), OpticalStack([Mirror(2.0), Mirror(3.0)])):
@@ -448,6 +479,32 @@ class TestTransmissionPoles:
         for starts in ([complex(math.nan, 0.0)], [[31.5]], [math.inf]):
             with pytest.raises(InvalidParameterError):
                 transmission_poles(stack, starts)
+
+
+def _derivative_cases():
+    for zeta in (2.0, 20.0, 2000.0):
+        setup = build_cascade(zeta, 1.0, 5.0, 10)
+        for pole in mode_poles(setup.system):
+            yield pytest.param(setup.stack, complex(pole), id=f"cascade-{zeta:g}-{pole:.6f}")
+            yield pytest.param(setup.stack, complex(pole.real), id=f"cascade-{zeta:g}-{pole.real:.6f}")
+    stacks = {
+        "chain-5-four-gaps": mirror_chain(5.0, 1.0, 3.0, 2.0, 3.0),
+        "cavity-7": mirror_chain(7.0, 1.3),
+        "leading-gap-adjacent-mirrors": OpticalStack([Gap(0.7), Mirror(3.0), Mirror(2.0), Gap(1.3), Mirror(3.0)]),
+    }
+    for name, stack in stacks.items():
+        for omega in (31.5 - 0.01j, 31.5 + 0j):
+            yield pytest.param(stack, omega, id=f"{name}-{omega}")
+
+
+@pytest.mark.parametrize("stack, omega", _derivative_cases())
+def test_m22_derivative_matches_50_digit_difference(stack, omega):
+    # dm22/domega from the two walks against mpmath's numerical derivative of the oracle's m22; the worst case,
+    # zeta = 2000, is 1.5e-11, while a sign slip or a wrong region index is off by order 1
+    with mpmath.workdps(50):
+        want = complex(mpmath.diff(lambda w: oracle.product(stack.elements, w, mpmath.exp)[1][1], mpmath.mpc(omega)))
+    _, dm22 = cascavity.scattering._m22_and_derivative(cascavity.scattering._plan(stack), omega)
+    assert abs(dm22 - want) <= 1e-10 * abs(want), (dm22, want)
 
 
 class TestRandomizedInvariants:
