@@ -1,6 +1,6 @@
 """Cascaded-cavity simulator: transfer-matrix and coupled-mode models side by side."""
 
-from .coupled import ModeSystem, mode_poles
+from .coupled import ModeChain, mode_poles
 from .errors import (
     CascavityError,
     ConfigError,

@@ -1,48 +1,39 @@
-"""Steady state of three coupled driven-dissipative bosonic modes.
+"""Steady state and resonances of a chain of coupled driven-dissipative modes.
 
-Two cavity modes a, b (resonance ``omega_c``, amplitude decay ``kappa``)
-couple with strength ``g`` to a lossless intermediate mode c (resonance
-``omega_f``).  ``ModeSystem`` holds only these four parameters; the drive
-is an argument of each solve, spelled as in the scattering engine: complex
-incident fields ``a_in`` on a and ``d_in`` on b (carrying any relative
-phase, e.g. d * e^{-i*phi}) at the drive frequency ``omega``.  Each field
-enters its mode through the port rate (input-output theory), as the pump
-eta = sqrt(kappa) * field, which makes the single-cavity peak transmission
-that of the scattering model.  In the frame rotating at the drive
-frequency the mean-field steady state solves, with detunings
-dc = omega_c - omega and df = omega_f - omega,
+``ModeChain`` holds N bosonic modes: mode i at ``omegas[i]``, neighbours
+coupled by ``couplings[i]``, and the two end modes decaying at ``kappa``
+through their outer mirror (a one-mode chain is both ends): the cascade is
+(omega_c, omega_f, omega_c) with couplings (g, g), the single cavity
+(omega_c,).  The incident fields of each solve, ``a_in`` on the first mode
+and ``d_in`` on the last, enter through the port rate as pumps
+eta = sqrt(kappa) * field, and the flux detected behind the last mode is
+kappa * |x_{N-1}|^2.  At drive frequency omega the mean-field steady state
+solves the tridiagonal system
 
-    (i*dc + kappa) * alpha + i*g*gamma = -i * eta_l
-    (i*dc + kappa) * beta  + i*g*gamma = -i * eta_r
-    i*df * gamma + i*g * (alpha + beta) = 0
+    d_i * x_i + i*g_{i-1} * x_{i-1} + i*g_i * x_{i+1} = -i * eta_i
 
-The system is linear in the drive, so the steady state is a coherent state
-and (alpha, beta, gamma) determine every observable; photon numbers are
-|alpha|^2 etc., and the flux detected behind the right cavity is
-kappa * |beta|^2.  The solver eliminates both cavities from the fiber
-row, solves it for gamma, and feeds gamma back into each cavity row: with
-det = (i*dc + kappa)*(i*df) + 2*g^2,
+with d_i = i*(omega_i - omega), plus kappa at an end.  It is solved from
+both ends, as ``region_amplitude_sweep`` solves the stack: with K_j the
+determinant of rows j..N-1 (K_N = 1, K_j = d_j*K_{j+1} + g_j^2*K_{j+2}),
+the part of mode i driven from the left is
+-i*eta_l * (-i*g_0) ... (-i*g_{i-1}) * K_{i+1} / K_0 and the part driven
+from the right the same on the reversed chain: products, never differences
+of nearly equal terms, so an undriven cavity keeps its digits at any zeta.
 
-    gamma = -g * (eta_l + eta_r) / det
-    alpha = -i * (eta_l + g*gamma) / (i*dc + kappa)
-    beta  = -i * (eta_r + g*gamma) / (i*dc + kappa)
-
-so an undriven cavity's amplitude is a product, never a difference of
-nearly equal terms, and keeps its digits at any zeta.  det is nonzero
-whenever g > 0 in exact arithmetic (in floats only when 2*g^2 does not
-underflow).  For g = 0 the fiber row is 0/0 at omega = omega_f, and the
-undriven gamma is set to zero by convention.
-
-The model's resonances are the complex eigenvalues of its matrix,
-``mode_poles``; the lossless normal-mode frequencies are their real parts
-as kappa goes to 0, and the antisymmetric pole is omega_c - i*kappa
-exactly.
+The resonances, ``mode_poles``, are the eigenvalues of the damped matrix
+(diagonal omega_i, minus i*kappa at an end; off-diagonal g_i).  A
+mirror-symmetric chain of odd length N = 2m + 1 splits into blocks of even
+and odd parity under mode i <-> N-1-i: the odd block is rows 0..m-1, and
+the even block adds the middle mode, coupled by sqrt(2)*g_{m-1}.  The
+cascade's odd block is the 1x1 [omega_c - i*kappa]: its pole is exact.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,62 +42,74 @@ from .errors import InvalidParameterError, SingularSystemError
 
 
 @dataclass(frozen=True)
-class ModeSystem:
-    """Parameters of the coupled three-mode model, all in units of c/L."""
+class ModeChain:
+    """A chain of coupled modes, rates in units of c/L; ``omegas`` and ``couplings`` are kept as float tuples."""
 
-    omega_c: float
-    omega_f: float
-    g: float
+    omegas: tuple[float, ...]
+    couplings: tuple[float, ...]
     kappa: float
 
     def __post_init__(self):
-        for name in ("omega_c", "omega_f", "g", "kappa"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-        if self.kappa <= 0:
-            raise InvalidParameterError(f"kappa must be positive, got {self.kappa!r}")
-        if self.g < 0:
-            raise InvalidParameterError(f"g must be nonnegative, got {self.g!r}")
+        object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
+        object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
+        if not (self.omegas and len(self.couplings) == len(self.omegas) - 1):
+            raise InvalidParameterError(f"a chain needs a mode and one coupling fewer than modes, got {self!r}")
+        rates = (self.kappa, *self.couplings)
+        if not (all(map(math.isfinite, (*self.omegas, *rates))) and all(r > 0 for r in rates)):
+            raise InvalidParameterError(f"chain parameters must be finite, kappa and every coupling positive, got {self!r}")
 
 
-def _steady_state_arrays(system: ModeSystem, omega, a_in: complex, d_in: complex):
-    """Steady state (alpha, beta, gamma) over drive frequencies ``omega`` for incident fields a_in (on a), d_in (on b)."""
+def _continuants(rows, couplings) -> list:
+    """[K_0, ..., K_N], K_j the determinant of rows j..N-1 of the chain with diagonal ``rows``."""
+    dets = [1.0, rows[-1]]
+    for d, g in zip(rows[-2::-1], couplings[::-1]):
+        dets.append(d * dets[-1] + g * g * dets[-2])
+    return dets[::-1]
+
+
+def _steady_state_arrays(chain: ModeChain, omega, a_in: complex, d_in: complex) -> list:
+    """Amplitudes [x_0, ..., x_{N-1}] over drive frequencies ``omega``; a_in drives the first mode, d_in the last."""
     a_in, d_in = complex(a_in), complex(d_in)
     if not (cmath.isfinite(a_in) and cmath.isfinite(d_in)):
         raise InvalidParameterError(f"incident fields must be finite, got a_in={a_in!r}, d_in={d_in!r}")
-    eta_l, eta_r = math.sqrt(system.kappa) * a_in, math.sqrt(system.kappa) * d_in
+    omegas, couplings, n = chain.omegas, chain.couplings, len(chain.omegas)
     omega = np.asarray(omega, dtype=float)
-    cavity = 1j * (system.omega_c - omega) + system.kappa
-    if system.g == 0.0:
-        gamma = np.zeros_like(cavity)
-    else:
-        det = cavity * (1j * (system.omega_f - omega)) + 2.0 * system.g**2
-        # reachable: 2*g**2 underflows to 0 for g near 1e-200, and at omega = omega_f det is then exactly 0
-        bad = det == 0.0
-        if np.any(bad):
-            raise SingularSystemError(
-                f"steady-state system is singular at omega = {float(omega[bad][0])!r}:"
-                f" 2*g**2 underflows to {2.0 * system.g**2!r} for g = {system.g!r}"
-            )
-        gamma = -system.g * (eta_l + eta_r) / det
-    alpha = -1j * (eta_l + system.g * gamma) / cavity
-    beta = -1j * (eta_r + system.g * gamma) / cavity
-    return alpha, beta, gamma
+    rows = [1j * (w - omega) + chain.kappa if i in (0, n - 1) else 1j * (w - omega) for i, w in enumerate(omegas)]
+    dets = _continuants(rows, couplings)
+    if np.any(bad := dets[0] == 0.0):
+        raise SingularSystemError(
+            f"steady-state system is singular at omega = {float(omega[bad][0])!r}: the chain determinant"
+            f" rounds to 0 with couplings {couplings!r} (squares {tuple(g * g for g in couplings)!r})"
+        )
+    # L_i, the determinant of rows 0..i-1, is K_{N-i} of the reversed chain, which a mirror-symmetric chain is
+    mirrored = omegas == omegas[::-1] and couplings == couplings[::-1]
+    heads = dets[::-1] if mirrored else _continuants(rows[::-1], couplings[::-1])[::-1]
+    # -i*eta * (-i*g_0) ... (-i*g_{i-1}): each end's pump carried down the chain to mode i
+    port, links = math.sqrt(chain.kappa), [-1j * g for g in couplings]
+    left = list(itertools.accumulate(links, operator.mul, initial=-1j * (port * a_in)))
+    right = list(itertools.accumulate(links[::-1], operator.mul, initial=-1j * (port * d_in)))[::-1]
+    # the middle mode of a mirror-symmetric chain meets both pumps through one continuant, so they add
+    # first: an antisymmetric drive leaves it dark to the rounding of the drive itself
+    middle = n // 2 if mirrored else None
+    return [
+        ((left[i] + right[i]) * dets[i + 1] if i == middle else left[i] * dets[i + 1] + right[i] * heads[i]) / dets[0]
+        for i in range(n)
+    ]
 
 
-def mode_poles(system: ModeSystem) -> tuple[complex, complex, complex]:
-    """Complex eigenfrequencies of the damped three-mode matrix, sorted by real part.
-
-    The matrix [[wc - i*kappa, 0, g], [0, wc - i*kappa, g], [g, g, wf]] has
-    the antisymmetric cavity combination (a - b) as an eigenvector at exactly
-    ``omega_c - i*kappa``; the symmetric combination hybridizes with the
-    lossless middle mode, giving avg +- sqrt(half^2 + 2 g^2) with
-    avg = (wc - i*kappa + wf)/2 and half = (wc - i*kappa - wf)/2.  Each
-    pole's half width is minus its imaginary part.
-    """
-    damped = complex(system.omega_c, -system.kappa)
-    avg = 0.5 * (damped + system.omega_f)
-    root = cmath.sqrt((0.5 * (damped - system.omega_f)) ** 2 + 2.0 * system.g**2)
-    lo, mid, hi = sorted((avg - root, damped, avg + root), key=lambda p: p.real)
-    return lo, mid, hi
+def mode_poles(chain: ModeChain) -> tuple[complex, ...]:
+    """Eigenvalues of the damped chain matrix, from its parity blocks in detuning from omegas[0], sorted by real part."""
+    omegas, couplings = chain.omegas, chain.couplings
+    if len(omegas) % 2 == 0 or omegas != omegas[::-1] or couplings != couplings[::-1]:
+        raise InvalidParameterError(f"mode_poles needs a mirror-symmetric chain of odd length, got {chain!r}")
+    m = len(omegas) // 2
+    diagonal = [complex(w - omegas[0], -chain.kappa if i == 0 else 0.0) for i, w in enumerate(omegas[: m + 1])]
+    links = [*couplings[: m - 1], math.sqrt(2.0) * couplings[m - 1]] if m else []
+    poles = []
+    for block, off in ((diagonal[:m], links[:-1]), (diagonal, links)):
+        if len(block) > 1:
+            matrix = np.diag(block)
+            matrix.flat[1 :: len(block) + 1] = matrix.flat[len(block) :: len(block) + 1] = off
+            block = np.linalg.eigvals(matrix).tolist()
+        poles += [omegas[0] + p for p in block]
+    return tuple(sorted(poles, key=lambda p: p.real))

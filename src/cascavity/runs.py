@@ -67,7 +67,7 @@ def _svg_meta(resolved: dict) -> str:
 
 
 def _cascade_at(config: ExperimentConfig, command: str):
-    """``zeta -> CascadeSetup``: the configured four-mirror stack and its matched mode system at that zeta."""
+    """``zeta -> CascadeSetup``: the configured four-mirror stack and its matched mode chain at that zeta."""
     geo = config.geometry
     if geo.single_cavity:
         raise ConfigError(f"{command} runs require the cascaded geometry")
@@ -167,7 +167,7 @@ def _sampled(
     """
     grid, resolved = _omega_grid(command, config, setup, grid_points, default_points)
     tables = _blocks(grid, compute)
-    omega_c = setup.system.omega_c
+    omega_c = setup.system.omegas[0]
     tables = [(name, [*columns, ("omega_over_omega_c", columns[0][1] / omega_c)]) for name, columns in tables]
     figure = plot({name: dict(columns) for name, columns in tables}) if svg else None
     return _write(out_dir, command, resolved, tables, figure, svg)
@@ -196,15 +196,13 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points
     if geo.single_cavity and drive.d_in != 0.0:
         raise ConfigError("single_cavity runs support left-side drive only: drive.d_in must be 0")
     d_drive = drive.d_in * np.exp(-1j * drive.d_phase)
-    # the single cavity is the measured mode b
-    fields = (0.0, drive.a_in) if geo.single_cavity else (drive.a_in, d_drive)
 
     def compute(grid):
         columns = [("omega", grid)]
         if config.model in ("scattering", "both"):
             columns.append(("scattering_value", sweep_scattering(setup.stack, grid, drive.a_in, d_drive).values))
         if config.model in ("coupled", "both"):
-            columns.append(("coupled_value", sweep_coupled(setup.system, grid, *fields).values / drive.a_in**2))
+            columns.append(("coupled_value", sweep_coupled(setup.system, grid, drive.a_in, d_drive).values))
         return [("spectrum.csv", columns)]
 
     series = [(model, f"{model}_value") for model in ("scattering", "coupled") if config.model in (model, "both")]
@@ -339,7 +337,7 @@ def run_match(config: ExperimentConfig, out_dir: Path, svg: bool, grid_points: i
             "formula": "1/(2*sqrt(l_c*l_f)*sqrt(1+zeta^2))",
             # the coupled model's g is taken at the stack's fiber gap, which
             # fiber_alignment "resonant" snaps to resonant_fiber_length
-            "model_value": setup.system.g,
+            "model_value": setup.system.couplings[0],
             "model_fiber_length": setup.stack.elements[3].length,
         },
         "eta_l": {"value": eta_l, "formula": "sqrt(kappa)*a_in", "a_in": drive.a_in},

@@ -189,11 +189,14 @@ def _check_wavenumbers(k) -> np.ndarray:
 
 
 def _phases(plan: _Plan, k) -> list[tuple]:
-    """(e^{ikl}, e^{-ikl}) per distinct gap length: arrays shaped like an array ``k``, Python scalars at a Python complex."""
-    exp = cmath.exp if type(k) is complex else np.exp
+    """(e^{ikl}, e^{-ikl}) per distinct gap length: from cos(kl) and sin(kl) at a real array ``k``, cmath at a complex."""
     phases = []
     for length in plan.lengths:
-        p = exp(1j * length * k)
+        if type(k) is complex:
+            p = cmath.exp(1j * length * k)
+        else:
+            p = np.empty(np.shape(k), dtype=complex)
+            p.real, p.imag = np.cos(length * k), np.sin(length * k)
         phases.append((p, 1.0 / p))
     return phases
 
@@ -297,7 +300,7 @@ def region_amplitude_sweep(
 
 
 def _m22_and_derivative(plan: _Plan, omega: complex) -> tuple[complex, complex]:
-    """m22 and dm22/domega at complex ``omega``, a Python complex or an array, from the region solve's two walks.
+    """m22 and dm22/domega at a Python complex ``omega``, from the region solve's two walks.
 
     A gap's factor G = diag(p, 1/p), p = e^{i*omega*l}, has dG/domega =
     i*l*J*G with J = diag(1, -1), so dM/domega is the sum over gaps of

@@ -1,24 +1,24 @@
 """Sweeps, resonance extraction and model-vs-model comparison curves.
 
 The comparison pipeline pairs a four-mirror stack with the matched
-three-mode system.  By default the fiber gap is snapped to the nearest
+three-mode chain.  By default the fiber gap is snapped to the nearest
 length whose fiber resonance coincides exactly with the cavity resonance
-(``fiber_alignment="resonant"``): the three-mode description assumes the
-coupled resonators share a common resonance frequency, and a nominal
-integer length ratio misses that condition by a detectable fraction of a
-free spectral range at finite mirror reflectivity.  The nominal geometry
-remains available via ``fiber_alignment="nominal"``.
+(``fiber_alignment="resonant"``): the chain assumes the coupled resonators
+share a common resonance frequency, and a nominal integer length ratio
+misses that condition by a detectable fraction of a free spectral range at
+finite mirror reflectivity.  The nominal geometry remains available via
+``fiber_alignment="nominal"``.
 
-Setups carry only the models (stack, mode system, matched parameters); the
+Setups carry only the models (stack, mode chain, matched parameters); the
 drive is an argument of each sweep, the incident fields ``a_in``, ``d_in``
 for both models.
 
 ``peak_separation_delta`` compares the models' resonances as complex poles,
 without a sweep, on the cascade its caller builds at each zeta (``delta``
 builds it from the whole configured geometry, ``fiber_order`` included):
-the coupled poles are the closed-form eigenvalues of the damped three-mode
-matrix (``mode_poles``), and the scattering poles are the zeros of the
-stack's m22, found by Newton's method from them (``transmission_poles``).
+the coupled poles are the damped chain matrix's eigenvalues, from its
+parity blocks (``mode_poles``), and the scattering poles are the zeros of
+the stack's m22, found by Newton's method from them (``transmission_poles``).
 ``find_peaks`` and ``lorentzian_fit`` remain for sampled spectra; scipy is
 imported only inside ``lorentzian_fit``.
 """
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupled import ModeSystem, _steady_state_arrays, mode_poles
+from .coupled import ModeChain, _steady_state_arrays, mode_poles
 from .errors import FitFailureError, InvalidParameterError, PoleSearchError
 from .matching import (
     CascadedMatch,
@@ -90,9 +90,6 @@ class PeakSet:
 
     def __len__(self) -> int:
         return len(self.peaks)
-
-    def centers(self) -> list[float]:
-        return [p.center for p in self.peaks]
 
 
 @dataclass(frozen=True)
@@ -156,11 +153,13 @@ def sweep_scattering(stack: OpticalStack, omega_grid, a_in: complex = 1.0, d_in:
     return Spectrum(grid, np.abs(c_out) ** 2 / abs(complex(a_in)) ** 2)
 
 
-def sweep_coupled(system: ModeSystem, omega_grid, a_in: complex = 1.0, d_in: complex = 0.0) -> Spectrum:
-    """Detected flux kappa * |beta|^2 versus drive frequency for incident fields a_in (on a), d_in (on b)."""
+def sweep_coupled(chain: ModeChain, omega_grid, a_in: complex = 1.0, d_in: complex = 0.0) -> Spectrum:
+    """Detected flux kappa * |x_{N-1}|^2 / |a_in|^2 versus drive frequency (fields as ``sweep_scattering``'s)."""
+    if a_in == 0:
+        raise InvalidParameterError("detected flux is normalised by |a_in|^2; a_in must be nonzero")
     grid = _check_grid(omega_grid)
-    _, beta, _ = _steady_state_arrays(system, grid, a_in, d_in)
-    return Spectrum(grid, system.kappa * np.abs(beta) ** 2)
+    last = _steady_state_arrays(chain, grid, a_in, d_in)[-1]
+    return Spectrum(grid, chain.kappa * np.abs(last) ** 2 / abs(complex(a_in)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +326,13 @@ def lorentzian_fit(spectrum: Spectrum, window: tuple[float, float]) -> Peak:
 
 @dataclass(frozen=True)
 class CascadeSetup:
-    """A mirror stack paired with its matched mode system.
+    """A mirror stack paired with its matched mode chain.
 
     ``match`` is the cascaded parameter set, or None for the single cavity.
     """
 
     stack: OpticalStack
-    system: ModeSystem
+    system: ModeChain
     match: CascadedMatch | None = None
 
 
@@ -346,9 +345,10 @@ def build_cascade(
     *,
     fiber_alignment: str = "resonant",
 ) -> CascadeSetup:
-    """Build the stack ``mirror_chain(zeta, l_c, l_f_used, l_c)`` (gap regions 1, 3, 5) and its matched mode system.
+    """Build the stack ``mirror_chain(zeta, l_c, l_f_used, l_c)`` (gap regions 1, 3, 5) and its matched mode chain.
 
-    ``fiber_alignment="resonant"`` snaps the fiber gap to the common-resonance
+    The chain is (omega_c, omega_f, omega_c) with couplings (g, g), g taken
+    at the stack's fiber gap.  ``fiber_alignment="resonant"`` snaps the fiber gap to the common-resonance
     length nearest the nominal ``l_f`` and sets omega_f = omega_c exactly;
     ``"nominal"`` keeps ``l_f`` and the geometric (detuned) fiber frequency.
     """
@@ -359,29 +359,25 @@ def build_cascade(
         l_f_used, omega_f = match.resonant_fiber_length, match.omega_c
     else:
         l_f_used, omega_f = l_f, match.omega_f
-    system = ModeSystem(match.omega_c, omega_f, g_from_geometry(zeta, l_c, l_f_used), match.kappa)
-    return CascadeSetup(mirror_chain(zeta, l_c, l_f_used, l_c), system, match)
+    g = g_from_geometry(zeta, l_c, l_f_used)
+    chain = ModeChain((match.omega_c, omega_f, match.omega_c), (g, g), match.kappa)
+    return CascadeSetup(mirror_chain(zeta, l_c, l_f_used, l_c), chain, match)
 
 
 def build_single_cavity(zeta: float, l_c: float, n_c: int) -> CascadeSetup:
-    """Symmetric two-mirror cavity paired with the matched single-mode model (g = 0).
-
-    The single driven cavity embeds into the three-mode template as the
-    measured mode b (the detected flux is kappa * |beta|^2), so its incident
-    field enters the coupled model as d_in.
-    """
+    """Symmetric two-mirror cavity paired with the matched one-mode chain (omega_c,), whose one mode is both ends."""
     kappa = kappa_from_geometry(zeta, l_c)
     omega_c = omega_c_from_geometry(zeta, l_c, n_c)
-    return CascadeSetup(mirror_chain(zeta, l_c), ModeSystem(omega_c, omega_c, 0.0, kappa))
+    return CascadeSetup(mirror_chain(zeta, l_c), ModeChain((omega_c,), (), kappa))
 
 
 def default_omega_window(setup, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Default sweep grid: omega_c +- 3*sqrt(2)*g (or +-6*kappa for g = 0)."""
+    """Default sweep grid: omega_c +- 3*sqrt(2)*g, g the largest coupling (or +-6*kappa for one mode)."""
     if points < 2:
         raise InvalidParameterError(f"grid needs at least 2 points, got {points}")
-    system = setup.system
-    half = 3.0 * math.sqrt(2.0) * system.g if system.g > 0 else 6.0 * system.kappa
-    return np.linspace(system.omega_c - half, system.omega_c + half, points)
+    chain = setup.system
+    half = 3.0 * math.sqrt(2.0) * max(chain.couplings) if chain.couplings else 6.0 * chain.kappa
+    return np.linspace(chain.omegas[0] - half, chain.omegas[0] + half, points)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +422,7 @@ def peak_separation_delta(zeta_grid: Sequence[float], setup_at: Callable[[float]
     """Side-to-middle resonance distances, scattering minus coupled, per zeta.
 
     ``setup_at(zeta)`` returns the cascade at each zeta.  The coupled
-    resonances are the closed-form ``mode_poles`` of its matched system; the
+    resonances are the ``mode_poles`` of its matched chain; the
     scattering resonances are its stack's ``transmission_poles``, found by
     Newton's method from them.  No frequency grid is involved.  A failed pole
     search produces an entry with an error message; the loop continues.
@@ -451,15 +447,15 @@ def intensity_comparison(setup: CascadeSetup, omega_grid) -> tuple[np.ndarray, n
 
     Returns (scattering left, scattering right, coupled left, coupled right).
     Scattering curves are |A|^2 + |B|^2 of the cavity gap regions and
-    coupled curves the photon numbers |alpha|^2, |beta|^2, both under the
-    incident fields a_in = 1, d_in = 0.
+    coupled curves the end modes' photon numbers |x_0|^2, |x_{N-1}|^2, both
+    under the incident fields a_in = 1, d_in = 0.
     """
     grid = _check_grid(omega_grid)
     gap_regions = setup.stack.gap_region_indices()
     cavities = region_amplitude_sweep(setup.stack, grid, 1.0, 0.0, regions=[gap_regions[0], gap_regions[2]])
     scat_left, scat_right = (np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in cavities)
-    alpha, beta, _ = _steady_state_arrays(setup.system, grid, 1.0, 0.0)
-    return scat_left, scat_right, np.abs(alpha) ** 2, np.abs(beta) ** 2
+    modes = _steady_state_arrays(setup.system, grid, 1.0, 0.0)
+    return scat_left, scat_right, np.abs(modes[0]) ** 2, np.abs(modes[-1]) ** 2
 
 
 def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid) -> PhaseScan:

@@ -22,7 +22,7 @@ def fit_peaks(spectrum, peak_set):
     """
     if len(spectrum) < 7:
         raise InvalidParameterError(f"peak fitting needs at least 7 samples, got {len(spectrum)}")
-    centers = peak_set.centers()
+    centers = [p.center for p in peak_set.peaks]
     fitted = []
     for i, pk in enumerate(peak_set.peaks):
         half = FIT_WINDOW_HALFWIDTHS * pk.half_width

@@ -30,7 +30,7 @@ from cascavity import (
     sweep_scattering,
 )
 from cascavity.cli import main as cli_main
-from cascavity.coupled import ModeSystem, _steady_state_arrays, mode_poles
+from cascavity.coupled import ModeChain, _steady_state_arrays, mode_poles
 
 from test_scattering import brute_force_peak
 
@@ -156,21 +156,22 @@ def test_criterion_07_randomized_invariant_suite():
 
 def test_criterion_08_coupled_model_analytics():
     kappa, eta_l = 0.5, 1.0
-    sys0 = ModeSystem(10.0, 10.0, 0.0, kappa)
+    cavity = ModeChain((10.0,), (), kappa)
     omega = np.linspace(8.0, 12.0, 801)
-    alpha, _, _ = _steady_state_arrays(sys0, omega, eta_l / math.sqrt(kappa), 0.0)
+    (alpha,) = _steady_state_arrays(cavity, omega, eta_l / math.sqrt(kappa), 0.0)
     lorentz_err = float(np.max(np.abs(kappa * np.abs(alpha) ** 2 - kappa * eta_l**2 / ((omega - 10.0) ** 2 + kappa**2))))
 
     worst_gamma = 0.0
     for g in (0.02, 0.1, 0.5):
         for kap in (0.01, 0.2):
-            sys_dark = ModeSystem(10.0, 10.0, g, kap)
+            chain_dark = ModeChain((10.0, 10.0, 10.0), (g, g), kap)
             field = 0.7 / math.sqrt(kap)
-            _, _, gamma = _steady_state_arrays(sys_dark, omega, field, field * cmath.exp(-1j * math.pi))
+            _, gamma, _ = _steady_state_arrays(chain_dark, omega, field, field * cmath.exp(-1j * math.pi))
             worst_gamma = max(worst_gamma, float(np.max(np.abs(gamma))))
 
+    # g = 0 is the one-mode chain, the single cavity
     mid_exact = all(
-        complex(wc, -0.1) in mode_poles(ModeSystem(wc, wf, g, 0.1))
+        complex(wc, -0.1) in mode_poles(ModeChain((wc, wf, wc), (g, g), 0.1) if g else ModeChain((wc,), (), 0.1))
         for wc in (1.0, 7.3)
         for wf in (0.8, 7.3, 9.1)
         for g in (0.0, 0.3)

@@ -92,7 +92,7 @@ class TestSpectrumCommand:
         coupled = sweep_coupled(setup.system, grid, 1.0, 0j).values
         for values in (scattering, coupled):
             assert np.count_nonzero((np.abs(values) >= 1e-9) & (np.abs(values) < 1e-4)) > 100
-        want = np.column_stack([grid, scattering, coupled, grid / setup.system.omega_c])
+        want = np.column_stack([grid, scattering, coupled, grid / setup.system.omegas[0]])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_model_selection_drops_column(self, tmp_path):
@@ -251,8 +251,8 @@ class TestDeltaCommand:
     def test_duplicate_pole_recorded_not_fatal(self, tmp_path, monkeypatch):
         import cascavity.spectra
 
-        def equal_starts(system):
-            return (complex(system.omega_c, -system.kappa),) * 3
+        def equal_starts(chain):
+            return (complex(chain.omegas[0], -chain.kappa),) * 3
 
         monkeypatch.setattr(cascavity.spectra, "mode_poles", equal_starts)
         self._error_row(tmp_path, "same pole")
@@ -417,7 +417,7 @@ class TestMatchCommand:
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "out" / "params.json").read_text())
         g = payload["g"]
-        assert g["model_value"] == build_cascade(5.0, 1.0, 5.0, 10, fiber_alignment=alignment).system.g
+        assert g["model_value"] == build_cascade(5.0, 1.0, 5.0, 10, fiber_alignment=alignment).system.couplings[0]
         assert g["model_value"] == g_from_geometry(5.0, 1.0, g["model_fiber_length"])
         if alignment == "nominal":
             assert g["model_fiber_length"] == 5.0 and g["model_value"] == g["value"]
@@ -710,7 +710,7 @@ class TestExtremeZeta:
         stack = setup.stack
         _, header, rows = read_csv(tmp_path / "out" / "profile.csv")
         for row in rows[::50]:
-            alpha, beta, _ = dense_solve(setup.system, float(row[0]), 1.0, 0.0)
+            alpha, _, beta = dense_solve(setup.system, float(row[0]), 1.0, 0.0)
             for name, amplitude in (("coupled_left", alpha), ("coupled_right", beta)):
                 want = abs(amplitude) ** 2
                 assert abs(float(row[header.index(name)]) - want) <= 1e-12 * want, (name, row[0])
@@ -756,7 +756,7 @@ class TestExtremeZeta:
         assert result.exit_code == 0, result.output
         _, header, rows = read_csv(tmp_path / "out" / "delta.csv")
         error = rows[0][header.index("error")]
-        omega_c = build_cascade(1e11, 1.0, 5.0, 10).system.omega_c
+        omega_c = build_cascade(1e11, 1.0, 5.0, 10).system.omegas[0]
         # the cell names zeta as the zeta column writes it (repr(1e11) is "100000000000.0")
         assert error.startswith(f"zeta={1e11!r}: ") and rows[0][header.index("zeta")] == repr(1e11)
         assert "same pole" in error

@@ -119,13 +119,13 @@ class TestOmegaC:
 class TestEta:
     def test_peak_photocurrent_matches_scattering_peak(self):
         # the coupled model's port rate, eta = sqrt(kappa)*A, makes the two single-cavity peak transmissions equal
-        from cascavity import ModeSystem, sweep_coupled
+        from cascavity import ModeChain, sweep_coupled
 
         zeta, a_in = 5.0, 1.0
         kappa = kappa_from_geometry(zeta, 1.0)
         omega_c = omega_c_from_geometry(zeta, 1.0, 10)
-        sys = ModeSystem(omega_c, omega_c, 0.0, kappa)
-        (coupled_peak,) = sweep_coupled(sys, [omega_c], 0.0, a_in).values
+        cavity = ModeChain((omega_c,), (), kappa)
+        (coupled_peak,) = sweep_coupled(cavity, [omega_c], a_in).values
         _, scattering_peak = brute_force_peak(mirror_chain(zeta, 1.0), omega_c - 1, omega_c + 1)
         assert coupled_peak == pytest.approx(scattering_peak * a_in**2, rel=1e-9)
 
@@ -191,10 +191,10 @@ class TestMatchCascaded:
         assert not match.fiber_order_in_range
 
     def test_side_splitting_matches_eigenfrequency_oracle(self):
-        from cascavity import ModeSystem, mode_poles
+        from cascavity import ModeChain, mode_poles
 
         match = match_cascaded(5.0, 1.0, 5.0, 10)
-        poles = mode_poles(ModeSystem(match.omega_c, match.omega_c, match.g, match.kappa))
+        poles = mode_poles(ModeChain((match.omega_c,) * 3, (match.g, match.g), match.kappa))
         assert complex(match.omega_c, -match.kappa) in poles
         split = 2 * math.sqrt(2 * match.g**2 - match.kappa**2 / 4)
         assert (poles[2] - poles[0]).real == pytest.approx(split, rel=1e-12)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -505,6 +506,24 @@ def test_m22_derivative_matches_50_digit_difference(stack, omega):
         want = complex(mpmath.diff(lambda w: oracle.product(stack.elements, w, mpmath.exp)[1][1], mpmath.mpc(omega)))
     _, dm22 = cascavity.scattering._m22_and_derivative(cascavity.scattering._plan(stack), omega)
     assert abs(dm22 - want) <= 1e-10 * abs(want), (dm22, want)
+
+
+def test_gap_phases_are_exp_within_an_ulp():
+    # at real k each phase is written from cos and sin of l*k; it stays within one ulp of |p| = 1 of numpy's
+    # exp(i*l*k) (bit-identical with some numpy builds, not promised by any), and its inverse is 1/p
+    plan = cascavity.scattering._plan(mirror_chain(5.0, 1.0, 4.975024, 0.37))
+    k = np.linspace(0.01, 400.0, 40001)
+    phases = cascavity.scattering._phases(plan, k)
+    assert len(phases) == 3
+    for length, (p, q) in zip(plan.lengths, phases):
+        want = np.exp(1j * length * k)
+        assert p.shape == k.shape and p.dtype == complex
+        assert np.max(np.abs(p.real - want.real)) <= np.spacing(1.0)
+        assert np.max(np.abs(p.imag - want.imag)) <= np.spacing(1.0)
+        assert np.array_equal(q, 1.0 / p)
+    # a complex omega, in the pole search, takes cmath.exp on Python scalars
+    ((p, q), *_) = cascavity.scattering._phases(plan, 31.5 - 0.01j)
+    assert type(p) is complex and p == cmath.exp(1j * 1.0 * (31.5 - 0.01j)) and q == 1.0 / p
 
 
 class TestRandomizedInvariants:

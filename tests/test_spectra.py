@@ -91,7 +91,7 @@ class TestSweeps:
 
     def test_coupled_single_lorentzian_height(self):
         setup = build_single_cavity(5.0, 1.0, 10)
-        spec = sweep_coupled(setup.system, default_omega_window(setup, 1001), 0.0, 1.0)
+        spec = sweep_coupled(setup.system, default_omega_window(setup, 1001), 1.0)
         assert spec.values.max() == pytest.approx(1.0, rel=1e-6)
 
     def test_coupled_middle_peak_exactly_at_omega_c(self):
@@ -107,7 +107,7 @@ class TestSweeps:
 
         setup = build_cascade(5.0, 1.0, 5.0, 10)
         grid = default_omega_window(setup, 301)
-        alpha, beta, gamma = _steady_state_arrays(setup.system, grid, 1.0, cmath.exp(-1j * math.pi))
+        alpha, gamma, beta = _steady_state_arrays(setup.system, grid, 1.0, cmath.exp(-1j * math.pi))
         assert np.max(np.abs(gamma)) < 1e-14
         assert np.max(np.abs(alpha)) > 1.0  # cavity observables survive
 
@@ -260,12 +260,12 @@ class TestPeakSeparationDelta:
     def test_non_convergence_records_error(self, monkeypatch):
         monkeypatch.setattr(cascavity.scattering, "_NEWTON_MAX_ITER", 1)
         entry = _error_entry(5.0, "Newton on m22")
-        # the coupled poles are closed forms and stay exact
+        # the coupled poles are the chain's eigenvalues, untouched by the Newton search
         assert entry.coupled_poles == mode_poles(build_cascade(5.0, 1.0, 5.0, 10).system)
 
     def test_duplicate_pole_records_error(self, monkeypatch):
-        def equal_starts(system):
-            return (complex(system.omega_c, -system.kappa),) * 3
+        def equal_starts(chain):
+            return (complex(chain.omegas[0], -chain.kappa),) * 3
 
         monkeypatch.setattr(cascavity.spectra, "mode_poles", equal_starts)
         _error_entry(5.0, "same pole")
