@@ -116,9 +116,12 @@ def write_csv(
 
     Cells are written as ``format_value`` gives them: the elements of numeric
     arrays (bool and int arrays too) as floats, ``str`` cells unchanged unless
-    they need quoting.
+    they need quoting.  An array column must be one-dimensional.
     """
     path = Path(path)
+    for name, values in columns:
+        if isinstance(values, np.ndarray) and values.ndim != 1:
+            raise ValueError(f"CSV column {name!r} must be one-dimensional, got an array of shape {values.shape}")
     names = [format_value(name) for name, _ in columns]
     cells = [values if isinstance(values, np.ndarray) else list(values) for _, values in columns]
     n = len(cells[0]) if cells else 0

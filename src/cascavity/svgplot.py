@@ -1,11 +1,19 @@
 """Minimal hand-rolled SVG plots: no rendering dependency, deterministic output.
 
-Each plot is written to its file element by element as it is drawn, so no
-plot holds its SVG text in memory.  Both plotters open their file through
-``_canvas``, which writes the frame around the plot and removes the file if
-the plot fails, and take their axis spans from ``_axis_range``.
+A line plot, and a heat map's frame, are written to the file element by
+element as they are drawn; a heat map's cells go out one block of columns
+at a time, so a plot holds at most one block of its SVG text in memory.
+Both plotters open their file through ``_canvas``, which writes the frame
+around the plot and removes the file if the plot fails, and take their
+axis spans from ``_axis_range``.
 Points are prepared as numpy arrays, not as per-sample Python objects, and
-a polyline's points are formatted a chunk of rows at a time.  Log10 goes
+a polyline's points are formatted a chunk of rows at a time.  A heat map's
+cell (i, j) is the line ``<rect x="..`` of its column, the tail
+``" y=".." width=".." height=".." fill="#`` of its row, and ``000000"/>``:
+the heads and tails are formatted once, each block's lines are joined into
+one text with the placeholder digits, and the six hex digits of every
+cell's color code are then written over the zeros with numpy, at offsets
+taken from the cumulative line lengths.  Log10 goes
 through ``math.log10`` on the kept samples, because ``np.log10`` can differ
 from it in the last bit and that would change the bytes.  Formatting is
 still one ``"{:.6g}"`` pair per sample, O(samples) rather than O(pixels),
@@ -32,7 +40,7 @@ _COLORS = ("#1b1b1b", "#c82020", "#2050c8", "#208040", "#b06000", "#707070")
 _N_TICKS = 5
 _RAMP_STOPS = np.array([(20, 20, 90), (40, 90, 180), (240, 230, 80), (200, 40, 30)])
 _MAX_CELLS = 240  # heat_map strides larger grids down to at most this many cells per axis
-_CHUNK_POINTS = 4096  # polyline points formatted and written per chunk
+_CHUNK_POINTS = 4096  # polyline points, or heat-map cells in whole columns, formatted and written per chunk
 
 
 def _fmt(v: float) -> str:
@@ -192,7 +200,7 @@ def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, me
 
 
 def _ramp(t):
-    """Dark blue -> red colors '#rrggbb' for an array of t in [0, 1] (clipped)."""
+    """Dark blue -> red colors as integer codes 0xrrggbb for an array of t in [0, 1] (clipped)."""
     t = np.clip(t, 0.0, 1.0) * (len(_RAMP_STOPS) - 1)
     i = np.minimum(t.astype(int), len(_RAMP_STOPS) - 2)
     f = t - i
@@ -204,10 +212,12 @@ def _ramp(t):
         channel += stops[:-1][i]
         code <<= 8
         code |= np.rint(channel, out=channel).astype(int)  # rint rounds half to even, like round()
-    del i, f, channel
-    codes, inverse = np.unique(code, return_inverse=True)
-    names = np.array([f"#{c:06x}" for c in codes.tolist()], dtype=object)
-    return names[inverse.reshape(code.shape)]
+    return code
+
+
+_HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
+_NIBBLE_SHIFTS = (20, 16, 12, 8, 4, 0)  # the six hex digits of 0xrrggbb, most significant first
+_CELL_END = '000000"/>\n'  # a cell's line ends with its color digits, written in place of the zeros
 
 
 def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, meta="") -> Path:
@@ -216,6 +226,11 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(values, dtype=float)
+        if z.shape != (x.size, y.size):
+            raise ValueError(
+                f"values must hold one value per (x, y) cell: values.shape is {z.shape}, "
+                f"(x.size, y.size) is {(x.size, y.size)}"
+            )
         for name, a in (("x", x), ("y", y), ("values", z)):
             _finite(name, a)
         sx = max(1, int(math.ceil(x.size / _MAX_CELLS)))
@@ -234,12 +249,22 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
         y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
         cw = (x1 - x0) / x.size
         ch = (y0 - y1) / y.size
-        colors = _ramp((z - zlo) / (zhi - zlo))
+        codes = _ramp((z - zlo) / (zhi - zlo))
+        # cell (i, j) is the line heads[i] + tails[j] + _CELL_END; its color digits overwrite the zeros
         size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
-        y_parts = [f'{_fmt(y0 - (j + 1) * ch)}" {size} fill="' for j in range(y.size)]
-        for i, row in enumerate(colors):  # one string per x column, one line per cell
-            head = f'<rect x="{_fmt(x0 + i * cw)}" y="'
-            canvas.add(head + ('"/>\n' + head).join(map(str.__add__, y_parts, row.tolist())) + '"/>')
+        tails = [f'" y="{_fmt(y0 - (j + 1) * ch)}" {size} fill="#' for j in range(y.size)]
+        tail_lengths = np.array([len(t) for t in tails]) + len(_CELL_END)
+        columns = max(1, _CHUNK_POINTS // y.size)  # per block
+        for start in range(0, x.size, columns):
+            heads = [f'<rect x="{_fmt(x0 + i * cw)}' for i in range(start, min(start + columns, x.size))]
+            column_texts = (head + (_CELL_END + head).join(tails) + _CELL_END[:-1] for head in heads)
+            block = bytearray("\n".join(column_texts), "ascii")  # add writes the last line's newline
+            # each cell's first digit sits len(_CELL_END) bytes before the end of its line
+            first = np.cumsum(np.add.outer([len(h) for h in heads], tail_lengths)) - len(_CELL_END)
+            cells, text = codes[start : start + len(heads)].ravel(), np.frombuffer(block, np.uint8)
+            for k, shift in enumerate(_NIBBLE_SHIFTS):
+                text[first + k] = _HEX[(cells >> shift) & 15]
+            canvas.add(block.decode("ascii"))
         _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, False)
         scale_label = "log10" if logz else "linear"
         canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")

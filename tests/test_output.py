@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -313,6 +314,15 @@ def test_unequal_columns_rejected(tmp_path):
         output.write_csv(tmp_path / "x.csv", [("a", np.zeros(3)), ("b", [1, 2])], "0", {})
 
 
+@pytest.mark.parametrize("column", [np.ones((3, 2)), np.ones((3, 1)), np.array(1.0)], ids=["3x2", "3x1", "0-d"])
+def test_array_column_must_be_one_dimensional(tmp_path, column):
+    # a (3, 2) column once wrote the header a,b over rows 1.0,1.0,0.0: two cells under one name
+    shape = re.escape(str(np.shape(column)))
+    with pytest.raises(ValueError, match=rf"CSV column 'a' must be one-dimensional, .* shape {shape}"):
+        output.write_csv(tmp_path / "x.csv", [("a", column), ("b", np.zeros(3))], "0", {})
+    assert not (tmp_path / "x.csv").exists()
+
+
 README_CONFIG = {
     "schema_version": 1,
     "geometry": {"zeta": 5.0, "cavity_length": 1.0, "fiber_length": 5.0, "cavity_order": 10},
@@ -386,9 +396,21 @@ def test_memory_stays_below_an_eighth_of_per_cell_writer(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+# at 181 phases a block holds 22 columns: one block, one column either side of it, two blocks and a
+# column, and a single column
+_BLOCK_COLUMNS = svgplot._CHUNK_POINTS // 181
+_BLOCK_EDGES = [(_BLOCK_COLUMNS + d, 181) for d in (0, -1, 1, _BLOCK_COLUMNS + 1)] + [(1, 181)]
+
+
 @pytest.mark.parametrize("logz", [True, False])
-@pytest.mark.parametrize("shape", [(2, 3), (7, 5), (481, 241)])  # the last is strided on both axes
-def test_heat_map_matches_per_cell_loop(tmp_path, shape, logz):
+# (481, 241) is strided on both axes, to 161 x 121 cells and so to 33 columns a block
+@pytest.mark.parametrize("shape", [(2, 3), (7, 5), (481, 241), *_BLOCK_EDGES])
+def test_heat_map_matches_per_cell_loop(tmp_path, monkeypatch, shape, logz):
+    # the reference draws the axes over the data's raw span; a one-column map needs it widened by +-0.5
+    def axes(canvas, xlo, xhi, ylo, yhi, *labels):
+        svgplot._axes(canvas, *svgplot._axis_range("x", xlo, xhi), *svgplot._axis_range("y", ylo, yhi), *labels)
+
+    monkeypatch.setattr(heatmap_oracle, "_axes", axes)
     rng = np.random.default_rng(shape[0] * shape[1])
     x = np.linspace(1.0, 2.0, shape[0])
     y = np.linspace(-np.pi, np.pi, shape[1])

@@ -69,14 +69,17 @@ def test_line_plot_matches_per_sample_loop(tmp_path, case, logy):
 
 _X, _Y = np.linspace(1.0, 2.0, 50), np.linspace(-3.0, 3.0, 20)
 _Z = np.outer(_X, np.cos(_Y) + 1.5)
+# 181 rows: the heat map's 50 columns go out in three blocks, its 5th and 6th elements (after the
+# header, meta comment, background and title) the first two
+_PHIS = np.linspace(-np.pi, np.pi, 181)
 PLOTS = {
     "line_plot": lambda path: svgplot.line_plot(path, _X, [("a", _Z[:, 0]), ("b", _Z[:, 5])], logy=True, **LABELS),
-    "heat_map": lambda path: svgplot.heat_map(path, _X, _Y, _Z, **LABELS),
+    "heat_map": lambda path: svgplot.heat_map(path, _X, _PHIS, np.outer(_X, np.cos(_PHIS) + 1.5), **LABELS),
 }
 
 
 @pytest.mark.parametrize("plotter", ["line_plot", "heat_map"])
-@pytest.mark.parametrize("fail_at", [1, 5, "</svg>"], ids=["header", "5th element", "closing tag"])
+@pytest.mark.parametrize("fail_at", [1, 5, 6, "</svg>"], ids=["header", "5th element", "6th element", "closing tag"])
 def test_failed_plot_leaves_no_file(tmp_path, monkeypatch, plotter, fail_at):
     draw = PLOTS[plotter]
     path = tmp_path / "plot.svg"
@@ -99,6 +102,9 @@ def test_failed_plot_leaves_no_file(tmp_path, monkeypatch, plotter, fail_at):
         gc.collect()
     assert not path.exists()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    if plotter == "heat_map" and fail_at == 6:  # a half-written map: one block of cells out, the second refused
+        block = svgplot._CHUNK_POINTS // _PHIS.size * _PHIS.size
+        assert [c.count("<rect x=") for c in calls[4:]] == [block, block]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
@@ -137,6 +143,16 @@ def test_heat_map_rejects_non_finite_input(tmp_path, which, bad):
     with pytest.raises(ValueError, match=rf"{which} must be finite: it holds 1 non-finite"):
         svgplot.heat_map(tmp_path / "h.svg", args["x"], args["y"], args["values"])
     assert not (tmp_path / "h.svg").exists()
+
+
+@pytest.mark.parametrize("shape", [(10, 7), (13, 5), (10, 3), (10,), (5, 10)])
+def test_heat_map_rejects_values_off_the_grid(tmp_path, shape):
+    path = tmp_path / "h.svg"
+    PLOTS["heat_map"](path)  # an earlier run's SVG, which the refused plot must not leave behind
+    message = rf"one value per \(x, y\) cell: values.shape is {re.escape(str(shape))}, \(x.size, y.size\) is \(10, 5\)"
+    with pytest.raises(ValueError, match=message):
+        svgplot.heat_map(path, np.linspace(1.0, 2.0, 10), np.linspace(0.0, 1.0, 5), np.ones(shape))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
