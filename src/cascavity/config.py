@@ -26,8 +26,11 @@ standard window around the matched resonance.
 
 The dataclasses below are the schema.  Each key is declared once, as a field
 that carries its default (none when required) and the check that parses its
-JSON value (``_key``); ``_section`` parses every section from these fields,
-and ``parse_config`` then checks the rules that tie keys together.
+JSON value (``_key``), so every rule on one key lives on its field;
+``_section`` parses every section from these fields.  ``parse_config`` then
+checks only the rules that tie keys together: ``single_cavity`` excludes the
+fiber keys, a cascade requires ``fiber_length``, and ``min`` lies below
+``max`` in ``sweep`` and ``phase_grid``.
 ``ExperimentConfig.resolved()`` walks the same fields back into JSON form,
 leaving out unset keys, so the config in every output header is itself a
 valid input that reproduces the run.
@@ -87,10 +90,16 @@ def _text(v, name) -> str:
     return v
 
 
-def _numbers(v, name) -> tuple[float, ...]:
+def _numbers(v, name, **bound) -> tuple[float, ...]:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{name} must be a nonempty array of numbers")
-    return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(v))
+    return tuple(_number(x, f"{name}[{i}]", **bound) for i, x in enumerate(v))
+
+
+def _choice(v, name, options) -> str:
+    if v not in options:
+        raise ConfigError(f"{name} must be one of {options}, got {v!r}")
+    return v
 
 
 def _version(v, name) -> int:
@@ -150,10 +159,10 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    min: float = _key(_number)
+    min: float = _key(_positive)
     max: float = _key(_number)
     points: int = _key(_points)
-    parameter: str = "omega"
+    parameter: str = _key(partial(_choice, options=("omega",)), "omega")
 
 
 @dataclass(frozen=True)
@@ -188,10 +197,10 @@ class OutputConfig:
 class ExperimentConfig:
     schema_version: int = _key(_version, SCHEMA_VERSION)
     geometry: GeometryConfig = _key(partial(_section, GeometryConfig))
-    model: str = "both"
-    fiber_alignment: str = "resonant"
+    model: str = _key(partial(_choice, options=MODELS), "both")
+    fiber_alignment: str = _key(partial(_choice, options=ALIGNMENTS), "resonant")
     sweep: SweepConfig | None = _key(partial(_section, SweepConfig), None)
-    zeta_grid: tuple[float, ...] = _key(_numbers, ())
+    zeta_grid: tuple[float, ...] = _key(partial(_numbers, minimum=1.0, exclusive=True), ())  # > 1: resolvable peaks
     phase_grid: PhaseConfig = _key(partial(_section, PhaseConfig), PhaseConfig())
     drive: FieldDrive = _key(partial(_section, FieldDrive), FieldDrive())
     output: OutputConfig = _key(partial(_section, OutputConfig), OutputConfig())
@@ -207,25 +216,15 @@ def _ordered(grid, where: str):
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """The config that ``raw`` describes: each key checked on its field, then the rules that tie keys together."""
     config = _section(ExperimentConfig, raw, "")
-    geo, sweep = config.geometry, config.sweep
+    geo = config.geometry
     if geo.single_cavity and (geo.fiber_length is not None or geo.fiber_order is not None):
         raise ConfigError("geometry.single_cavity excludes fiber_length and fiber_order")
     if not geo.single_cavity and geo.fiber_length is None:
         raise ConfigError("missing required key geometry.fiber_length")
-    if config.model not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}, got {config.model!r}")
-    if config.fiber_alignment not in ALIGNMENTS:
-        raise ConfigError(f"fiber_alignment must be one of {ALIGNMENTS}, got {config.fiber_alignment!r}")
-    if sweep is not None:
-        if sweep.parameter != "omega":
-            raise ConfigError(f"sweep.parameter must be 'omega', got {sweep.parameter!r}")
-        _ordered(sweep, "sweep")
-        if sweep.min <= 0:
-            raise ConfigError(f"sweep.min must be positive, got {sweep.min}")
-    for i, v in enumerate(config.zeta_grid):
-        if v <= 1:
-            raise ConfigError(f"zeta_grid[{i}] must be > 1 for resolvable peaks, got {v!r}")
+    if config.sweep is not None:
+        _ordered(config.sweep, "sweep")
     _ordered(config.phase_grid, "phase_grid")
     return config
 

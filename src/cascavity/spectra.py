@@ -97,25 +97,16 @@ class PhaseScan:
     """Fiber-region intensity on an (omega, phi) grid; intensity[i, j] ~ (omega_i, phi_j).
 
     Row i is exactly c0[i] + c1[i] * cos(phi - phi0[i]); see ``dark_mode_scan``.
+    The scan does not keep the grids, which the caller already holds.
     """
 
-    omega_grid: np.ndarray
-    phi_grid: np.ndarray
     intensity: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
     phi0: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.omega_grid, dtype=float)
-        p = np.asarray(self.phi_grid, dtype=float)
-        i = np.asarray(self.intensity, dtype=float)
-        object.__setattr__(self, "omega_grid", w)
-        object.__setattr__(self, "phi_grid", p)
-        object.__setattr__(self, "intensity", i)
-        if i.shape != (w.size, p.size):
-            raise InvalidParameterError("intensity grid shape must match the omega and phi grids")
-        if not np.all(np.isfinite(i)) or np.any(i < 0):
+        if not np.all(np.isfinite(self.intensity)) or np.any(self.intensity < 0):
             raise InvalidParameterError("intensities must be finite and nonnegative")
 
 
@@ -477,7 +468,7 @@ def dark_mode_scan(stack: OpticalStack, omega_grid, phi_grid) -> PhaseScan:
     intensity = np.abs(a_f[:, :1] + r * a_f[:, 1:]) ** 2 + np.abs(b_f[:, :1] + r * b_f[:, 1:]) ** 2
     c0 = np.sum(np.abs(a_f) ** 2 + np.abs(b_f) ** 2, axis=1)
     s = np.conj(a_f[:, 0]) * a_f[:, 1] + np.conj(b_f[:, 0]) * b_f[:, 1]
-    return PhaseScan(grid, phis, intensity, c0, 2.0 * np.abs(s), np.angle(s))
+    return PhaseScan(intensity, c0, 2.0 * np.abs(s), np.angle(s))
 
 
 def sinusoid_fit(phi, values) -> SinusoidFit:

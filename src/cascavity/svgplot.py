@@ -3,9 +3,12 @@
 A line plot, and a heat map's frame, are written to the file element by
 element as they are drawn; a heat map's cells go out one block of columns
 at a time, so a plot holds at most one block of its SVG text in memory.
-Both plotters open their file through ``_canvas``, which writes the frame
-around the plot and removes the file if the plot fails, and take their
-axis spans from ``_axis_range``.
+A line plot's y axis and a heat map's colors are log10 of the values; the
+other axes are linear.  Both plotters open their file through ``_canvas``,
+which writes the frame around the plot, removes the file if the plot fails
+and names the file in a refusal (``InvalidParameterError``, which the CLI
+reports as a numerical failure), and take their axis spans from
+``_axis_range``.
 Points are prepared as numpy arrays, not as per-sample Python objects, and
 a polyline's points are formatted a chunk of rows at a time.  A heat map's
 cell (i, j) is the line ``<rect x="..`` of its column, the tail
@@ -13,7 +16,7 @@ cell (i, j) is the line ``<rect x="..`` of its column, the tail
 the heads and tails are formatted once, each block's lines are joined into
 one text with the placeholder digits, and the six hex digits of every
 cell's color code are then written over the zeros with numpy, at offsets
-taken from the cumulative line lengths.  Log10 goes
+taken from the cumulative line lengths.  A line plot's log10 goes
 through ``math.log10`` on the kept samples, because ``np.log10`` can differ
 from it in the last bit and that would change the bytes.  Formatting is
 still one ``"{:.6g}"`` pair per sample, O(samples) rather than O(pixels),
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .output import output_file
 
 _WIDTH = 720
@@ -58,7 +62,7 @@ def _finite(name: str, a: np.ndarray) -> None:
     if bad.size:
         i = np.unravel_index(bad[0], a.shape)
         where = ", ".join(map(str, i))
-        raise ValueError(
+        raise InvalidParameterError(
             f"{name} must be finite: it holds {bad.size} non-finite value(s), the first {float(a[i])} at index {where}"
         )
 
@@ -69,7 +73,7 @@ def _canvas(path, title: str, meta: str = ""):
 
     The header, meta comment, background and title come before the drawing
     and ``</svg>`` after it; as for every output file (``output.output_file``),
-    if an exception escapes, the file is removed.
+    if an exception escapes, the file is removed; a refusal gains the file's name.
     """
     with output_file(path) as file:
         canvas = _Canvas(file)
@@ -84,7 +88,10 @@ def _canvas(path, title: str, meta: str = ""):
         canvas.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
         if title:
             canvas.text(_WIDTH / 2, _MARGIN_T - 14, title, anchor="middle", size=14)
-        yield canvas
+        try:
+            yield canvas
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{Path(path).name}: {exc}") from None
         canvas.add("</svg>")
 
 
@@ -148,43 +155,41 @@ def _axis_range(name: str, lo: float, hi: float) -> tuple[float, float]:
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     if not 0 < hi - lo < math.inf:  # else every coordinate would be nan
-        raise ValueError(f"the {name} range [{lo!r}, {hi!r}] has no finite nonzero width in float64")
+        raise InvalidParameterError(f"the {name} range [{lo!r}, {hi!r}] has no finite nonzero width in float64")
     return lo, hi
 
 
-def _plotted(values, n: int, logy: bool) -> np.ndarray:
-    """``values`` as plotted y (log10 with ``logy``), nan where a segment breaks."""
+def _plotted(values, n: int) -> np.ndarray:
+    """``values`` as plotted y, their log10, nan where a segment breaks."""
     v = np.asarray(values, dtype=float)  # None reads as nan
     if v.shape != (n,):
-        raise ValueError(f"each series needs one value per x sample: shape {v.shape}, x has {n}")
-    keep = np.isfinite(v)
-    if logy:
-        keep &= v > 0
+        raise InvalidParameterError(f"each series needs one value per x sample: shape {v.shape}, x has {n}")
+    keep = np.isfinite(v) & (v > 0)
     y = np.full(n, np.nan)
     kept = v[keep]
-    y[keep] = np.fromiter(map(math.log10, kept.tolist()), float, kept.size) if logy else kept
+    y[keep] = np.fromiter(map(math.log10, kept.tolist()), float, kept.size)
     return y
 
 
-def line_plot(path, x, series, *, xlabel="", ylabel="", title="", logy=False, meta="") -> Path:
-    """Overlayed line plot; series is a list of (label, values) pairs.
+def line_plot(path, x, series, *, xlabel="", ylabel="", title="", meta="") -> Path:
+    """Overlayed line plot on a log10 y axis; series is a list of (label, values) pairs.
 
-    Non-finite or ``None`` samples, and with ``logy`` nonpositive ones, break
-    a line into segments; ``x`` must be finite.
+    Non-finite, nonpositive or ``None`` samples break a line into segments;
+    ``x`` must be finite.
     """
     with _canvas(path, title, meta) as canvas:
         x = np.asarray(x, dtype=float)
         _finite("x", x)
-        prepared = [(label, _plotted(values, x.size, logy)) for label, values in series]
+        prepared = [(label, _plotted(values, x.size)) for label, values in series]
         # fmin/fmax skip the nan breaks; a series with no kept sample gives (inf, -inf)
         ylo = min((float(np.fmin.reduce(y, initial=np.inf)) for _, y in prepared), default=math.inf)
         yhi = max((float(np.fmax.reduce(y, initial=-np.inf)) for _, y in prepared), default=-math.inf)
         if ylo > yhi:
-            raise ValueError("nothing to plot")
+            raise InvalidParameterError("nothing to plot: no series has a finite positive sample for the log10 y axis")
         xlo, xhi = _axis_range("x", float(x.min()), float(x.max()))
         ylo, yhi = _axis_range("y", ylo, yhi)
 
-        x0, x1, y0, y1 = _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, logy)
+        x0, x1, y0, y1 = _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, True)
         for idx, (label, y) in enumerate(prepared):
             color = _COLORS[idx % len(_COLORS)]
             edges = np.flatnonzero(np.diff(~np.isnan(y), prepend=False, append=False))
@@ -220,14 +225,14 @@ _NIBBLE_SHIFTS = (20, 16, 12, 8, 4, 0)  # the six hex digits of 0xrrggbb, most s
 _CELL_END = '000000"/>\n'  # a cell's line ends with its color digits, written in place of the zeros
 
 
-def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, meta="") -> Path:
-    """Colored-cell map of values[i][j] over (x[i], y[j]); large grids are strided."""
+def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", meta="") -> Path:
+    """Colored-cell map of log10 values[i][j] over (x[i], y[j]), nonpositive ones floored; large grids are strided."""
     with _canvas(path, title, meta) as canvas:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(values, dtype=float)
         if z.shape != (x.size, y.size):
-            raise ValueError(
+            raise InvalidParameterError(
                 f"values must hold one value per (x, y) cell: values.shape is {z.shape}, "
                 f"(x.size, y.size) is {(x.size, y.size)}"
             )
@@ -236,9 +241,8 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
         sx = max(1, int(math.ceil(x.size / _MAX_CELLS)))
         sy = max(1, int(math.ceil(y.size / _MAX_CELLS)))
         x, y, z = x[::sx], y[::sy], z[::sx, ::sy]
-        if logz:
-            floor = z[z > 0].min() if np.any(z > 0) else 1.0
-            z = np.log10(np.maximum(z, floor))
+        floor = z[z > 0].min() if np.any(z > 0) else 1.0
+        z = np.log10(np.maximum(z, floor))
         xlo, xhi = _axis_range("x", float(x.min()), float(x.max()))
         ylo, yhi = _axis_range("y", float(y.min()), float(y.max()))
         zlo, zhi = float(z.min()), float(z.max())
@@ -266,6 +270,5 @@ def heat_map(path, x, y, values, *, xlabel="", ylabel="", title="", logz=True, m
                 text[first + k] = _HEX[(cells >> shift) & 15]
             canvas.add(block.decode("ascii"))
         _axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, False)
-        scale_label = "log10" if logz else "linear"
-        canvas.text(x1, _MARGIN_T - 2, f"{scale_label}: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
+        canvas.text(x1, _MARGIN_T - 2, f"log10: {_fmt(zlo)} .. {_fmt(zhi)}", anchor="end")
     return Path(path)

@@ -594,14 +594,19 @@ class TestUnreadableConfigFile:
 
 
 class TestCollapsedGrid:
-    """A grid too fine for float64 is a configuration error naming the command, the grid's source, ends and step."""
+    """A grid too fine for float64 is a configuration error naming the command, the grid's source, ends and step.
+
+    It repeats points, so its steps run from 0: the uneven-grid refusal, whose message also gives the float64
+    spacing at the grid's top.
+    """
 
     def run(self, tmp_path, command, *flags, **overrides):
         raw = cascade_config(tmp_path / "out", **overrides)
         result = CliRunner().invoke(main, [command, "--config", str(write_config(tmp_path, raw)), *flags])
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"configuration error: {command}: the grid from ")
-        assert "is not strictly increasing" in result.output and "float64 spacing" in result.output
+        assert "does not increase evenly: its steps run from 0 to " in result.output
+        assert "the float64 spacing at its top is " in result.output
         return result.output
 
     @pytest.mark.parametrize("command", ["spectrum", "profile", "darkmode"])
@@ -609,8 +614,8 @@ class TestCollapsedGrid:
         sweep = {"parameter": "omega", "min": 1.0, "max": 1.0000000000000002, "points": 5}
         output = self.run(tmp_path, command, sweep=sweep)
         assert "sweep.min/sweep.max/sweep.points (5 points over [1.0, 1.0000000000000002])" in output
-        assert f"step {(1.0000000000000002 - 1.0) / 4:.3g}" in output
-        assert f"float64 spacing {np.spacing(1.0000000000000002):.3g} at its top" in output
+        assert f"its step {(1.0000000000000002 - 1.0) / 4:.3g}" in output
+        assert f"the float64 spacing at its top is {np.spacing(1.0000000000000002):.3g}" in output
 
     def test_grid_points_flag(self, tmp_path):
         # three points over four ulps are distinct; fifty are not
@@ -624,6 +629,16 @@ class TestCollapsedGrid:
         geometry = {"zeta": 1e12, "cavity_length": 1.0, "fiber_length": 5.0, "cavity_order": 10}
         output = self.run(tmp_path, command, geometry=geometry)
         assert "the default window at geometry.zeta = 1000000000000.0 (4001 points over [31.4" in output
+
+    @pytest.mark.parametrize("command", ["spectrum", "profile", "darkmode"])
+    def test_window_collapsed_to_one_point(self, tmp_path, command):
+        # at zeta = 1e16 the window's half width is below half a float64 spacing of omega_c: every step is 0
+        geometry = {"zeta": 1e16, "cavity_length": 1.0, "fiber_length": 5.0, "cavity_order": 10}
+        output = self.run(tmp_path, command, geometry=geometry)
+        top = build_cascade(1e16, 1.0, 5.0, 10).system.omegas[0]
+        assert f"points over [{top!r}, {top!r}])" in output
+        assert "its steps run from 0 to 0, not within 1% of its step 0 of each other" in output
+        assert f"the float64 spacing at its top is {np.spacing(top):.3g}" in output
 
 
 class TestUnevenGrid:
@@ -643,7 +658,7 @@ class TestUnevenGrid:
         steps = np.diff(grid)
         ends = f"[{float(grid[0])!r}, {float(grid[-1])!r}]"
         where = f"the grid from the default window at geometry.zeta = {zeta!r} (401 points over {ends})"
-        assert result.output.startswith(f"configuration error: darkmode: {where} is unevenly spaced")
+        assert result.output.startswith(f"configuration error: darkmode: {where} does not increase evenly")
         assert f"its steps run from {steps.min():.3g} to {steps.max():.3g}" in result.output
         assert f"the float64 spacing at its top is {np.spacing(grid[-1]):.3g}" in result.output
         assert not any((tmp_path / "out").iterdir())
@@ -738,6 +753,30 @@ class TestExtremeZeta:
         result = self.run(tmp_path, command, 1e160, zeta_grid=[1e160])
         assert result.exit_code == 3
         assert "zeta = 1e+160 and l_c = 1.0" in result.output
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"model": "coupled"},
+            {"geometry": {"cavity_length": 1.0, "cavity_order": 10, "single_cavity": True}, "model": "both"},
+        ],
+        ids=["cascade_coupled", "single_cavity_both"],
+    )
+    def test_plot_with_nothing_to_draw(self, tmp_path, overrides):
+        # every transmitted value underflows to 0.0, which the log10 y axis cannot draw: the written CSV stays,
+        # the plot is a numerical failure naming its file
+        sweep = {"parameter": "omega", "min": 31.0, "max": 32.0, "points": 201}
+        raw = {**cascade_config(tmp_path / "out", sweep=sweep), **overrides}
+        raw["geometry"]["zeta"] = 1e100
+        env = {**os.environ, "PYTHONPATH": str(Path(cascavity.__file__).resolve().parents[1])}
+        command = [sys.executable, "-m", "cascavity.cli", "spectrum", "--svg", "--config", str(write_config(tmp_path, raw))]
+        done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        output = done.stdout + done.stderr
+        assert done.returncode == 3, output
+        assert "spectrum.svg: nothing to plot" in output and "Traceback" not in output
+        assert not (tmp_path / "out" / "spectrum.svg").exists()
+        _, _, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+        assert len(rows) == 201 and {float(v) for row in rows for v in row[1:-1]} == {0.0}
 
     def test_pole_search_overflow(self, tmp_path):
         # kappa is still representable here, but the stack's m22 overflows: the row's error names zeta and the overflow

@@ -1,8 +1,10 @@
 import json
+import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
-from cascavity import ConfigError
+from cascavity import ConfigError, config
 from cascavity.config import load_config, parse_config
 
 
@@ -96,6 +98,33 @@ class TestParseConfig:
         assert json.loads(json.dumps(resolved)) == resolved
         assert resolved["model"] == "scattering"
         assert resolved["output"] == {"directory": "x", "svg": True}
+
+
+# the schema: every dataclass the config module defines
+SCHEMA = [c for c in vars(config).values() if isinstance(c, type) and is_dataclass(c) and c.__module__ == config.__name__]
+
+
+def test_every_key_carries_its_check():
+    # a rule on one key lives on its field; parse_config keeps only the rules that tie keys together
+    assert len(SCHEMA) == 6
+    unchecked = [f"{cls.__name__}.{f.name}" for cls in SCHEMA for f in fields(cls) if "check" not in f.metadata]
+    assert unchecked == []
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("model", {"model": "hybrid"}),
+        ("fiber_alignment", {"fiber_alignment": "exact"}),
+        ("sweep.parameter", {"sweep": {"parameter": "zeta", "min": 31.4, "max": 31.8, "points": 11}}),
+        ("sweep.min", {"sweep": {"parameter": "omega", "min": -1.0, "max": 31.8, "points": 11}}),
+        ("sweep.min", {"sweep": {"parameter": "omega", "min": 0, "max": 31.8, "points": 11}}),
+        ("zeta_grid[1]", {"zeta_grid": [3.0, 1.0, 5.0]}),
+    ],
+)
+def test_single_key_rule_names_its_key(key, overrides):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        parse_config(base_config(**overrides))
 
 
 SINGLE_CAVITY = {"zeta": 20.0, "cavity_length": 1.0, "cavity_order": 10, "single_cavity": True}

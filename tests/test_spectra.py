@@ -350,14 +350,15 @@ class TestDarkModeScan:
     def test_columns_are_exact_sinusoids(self):
         # the closed form against the least-squares fit of every row
         scan = self.scan
-        for i in range(scan.omega_grid.size):
-            fit = sinusoid_fit(scan.phi_grid, scan.intensity[i])
+        assert scan.intensity.shape == (self.omega.size, self.phis.size)
+        for i in range(self.omega.size):
+            fit = sinusoid_fit(self.phis, scan.intensity[i])
             c0, c1, phi0 = scan.c0[i], scan.c1[i], scan.phi0[i]
             assert abs(c0 - fit.c0) <= 1e-11 * (c0 + c1)
             assert abs(c1 - fit.c1) <= 1e-11 * (c0 + c1)
             if c1 >= 1e-10 * c0:
                 assert abs(math.remainder(phi0 - fit.phi0, 2 * math.pi)) <= 1e-9
-            closed = c0 + c1 * np.cos(scan.phi_grid - phi0)
+            closed = c0 + c1 * np.cos(self.phis - phi0)
             assert np.max(np.abs(scan.intensity[i] - closed)) <= 1e-13 * c0
 
     def test_minimum_stays_strictly_positive(self):
