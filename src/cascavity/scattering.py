@@ -45,7 +45,10 @@ has determinant exactly 1:
 
 A walk of the steps from the left gives (l12, l22) at each region and
 (m12, m22) at the last; a walk of the reversed steps gives (-r21, r22), since
-each factor's transpose is J M J with J = diag(1, -1).  So the a_in part of a
+each factor's transpose is J M J with J = diag(1, -1).  On a mirror-symmetric
+stack, which every CLI geometry is, the reversed steps are the steps, so the
+one walk from the left gives both: the pair at i steps is (l12, l22) of
+region i and (-r21, r22) of region n - i.  So the a_in part of a
 region is the transmitted wave (a_in/m22, 0) carried back through R and the
 d_in part the wave (0, d_in/m22) carried through L: no amplitude is the small
 difference of an incoming and a reflected wave, as it is in a region
@@ -54,11 +57,12 @@ digit.  At the ends the solve gives b_out = (d_in - m21*a_in)/m22 and
 c_out = (a_in + m12*d_in)/m22, free of the cancellation of the textbook
 ``c_out = m11*a_in + m12*b_out``, and keeps a_in and d_in exact.
 
-The same two walks, at a complex omega, give dm22/domega for the pole
-search.  A gap's factor G = diag(p, 1/p), p = e^{i*omega*l}, has
-dG/domega = i*l*J*G, so the derivative is a sum over gaps of
+The same walks, at a complex omega, give dm22/domega for the pole
+search, one walk per Newton step on a symmetric stack.  A gap's factor
+G = diag(p, 1/p), p = e^{i*omega*l}, has dG/domega = i*l*J*G, so the
+derivative is a sum over gaps of
 -i*l*(-r21*l12 + r22*l22) at the region right of each gap, from pairs the
-two walks already hold: no derivative is carried through the stack.
+walks already hold: no derivative is carried through the stack.
 """
 
 from __future__ import annotations
@@ -158,13 +162,17 @@ def mirror_chain(zeta: float, *gaps: float) -> OpticalStack:
 
 
 class _Plan(NamedTuple):
-    """What every walk over one stack needs, and the gaps and stops of the pole search's two walks."""
+    """What every walk over one stack needs, and the gaps of the pole search."""
 
     ops: tuple  # per element: a mirror's complex i*zeta, or the int index of a gap's length in ``lengths``
     lengths: tuple[float, ...]  # the distinct gap lengths, in order of first appearance
     gaps: tuple[tuple[int, int, complex], ...]  # per gap: the region right of it, that region's stop from the right, i*l
-    left_stops: tuple[int, ...]  # the regions right of each gap, and the last region, increasing
-    right_stops: tuple[int, ...]  # the same gap regions counted from the right, increasing
+    symmetric: bool  # the steps read the same reversed, so the walk from the right is the walk from the left
+
+
+def _flags(stops) -> list[bool]:
+    """The ``keep`` of a walk that keeps the pairs after j steps for each j in ``stops`` and stops at the last."""
+    return [j in stops for j in range(1, max(stops, default=0) + 1)]
 
 
 def _plan(stack: OpticalStack) -> _Plan:
@@ -176,8 +184,10 @@ def _plan(stack: OpticalStack) -> _Plan:
         else:
             ops.append(index.setdefault(e.length, len(index)))
             gaps.append((j + 1, last - j - 1, 1j * e.length))
-    left_stops = tuple(sorted({last, *(region for region, _, _ in gaps)}))
-    return _Plan(tuple(ops), tuple(index), tuple(gaps), left_stops, tuple(sorted(stop for _, stop, _ in gaps)))
+    # compared by repr, since == takes a gap's index 0 for a zero mirror's 0j, and Mirror(0.0)'s 0j for
+    # Mirror(-0.0)'s (-0+0j), steps that differ in kind or in the sign of a zero
+    steps = [repr(s) for s in ops]
+    return _Plan(tuple(ops), tuple(index), tuple(gaps), steps == steps[::-1])
 
 
 def _check_wavenumbers(k) -> np.ndarray:
@@ -201,26 +211,23 @@ def _phases(plan: _Plan, k) -> list[tuple]:
     return phases
 
 
-def _walk(x, y, ops, phases, stops) -> dict:
-    """The pair (x, y) after j of ``ops``, for each j in the increasing ``stops``; takes only the steps it needs.
+def _walk(x, y, ops, phases, keep) -> list:
+    """The pair (x, y) after j of ``ops`` at entry j, where ``keep[j - 1]`` flags it, else None; takes len(keep) steps.
 
-    A mirror maps (x, y) to (x + w, y - w) with w = i*zeta*(x + y), a gap to
-    (p*x, q*y) with (p, q) its entry in ``phases``.  Every step makes new
-    values, so a pair once found is never changed.  Arrays and Python
-    scalars take the same path.
+    Entry 0 is the starting pair.  A mirror maps (x, y) to (x + w, y - w)
+    with w = i*zeta*(x + y), a gap to (p*x, q*y) with (p, q) its entry in
+    ``phases``.  Every step makes new values, so a pair once kept is never
+    changed.  Arrays and Python scalars take the same path.
     """
-    found = {}
-    j = 0
-    for stop in stops:
-        for s in ops[j:stop]:
-            if type(s) is int:
-                p, q = phases[s]
-                x, y = p * x, q * y
-            else:
-                w = s * (x + y)
-                x, y = x + w, y - w
-        found[stop] = x, y
-        j = stop
+    found = [(x, y)]
+    for s, kept in zip(ops, keep):
+        if type(s) is int:
+            p, q = phases[s]
+            x, y = p * x, q * y
+        else:
+            w = s * (x + y)
+            x, y = x + w, y - w
+        found.append((x, y) if kept else None)
     return found
 
 
@@ -231,8 +238,7 @@ def compose(stack: OpticalStack, k):
     """
     k = _check_wavenumbers(k)
     plan = _plan(stack)
-    last = len(plan.ops)
-    m12, m22 = _walk(0j, 1.0 + 0j, plan.ops, _phases(plan, k), [last])[last]
+    m12, m22 = _walk(0j, 1.0 + 0j, plan.ops, _phases(plan, k), _flags({len(plan.ops)}))[-1]
     entries = (np.conj(m22), m12, np.conj(m12), m22)
     return tuple(np.broadcast_to(np.asarray(m, dtype=complex), k.shape) for m in entries)
 
@@ -253,7 +259,8 @@ def region_amplitude_sweep(
     ``regions`` lists the region indices to return, in that order; negative
     indices count from the end and ``None`` means every region.  Only those
     regions are solved, and the walk from the right stops at the leftmost of
-    them: the last region needs none.
+    them: the last region needs none.  A mirror-symmetric stack, as every
+    CLI geometry is, takes its walk from the right from the walk from the left.
     """
     count = len(stack.elements) + 1
     if regions is None:
@@ -275,13 +282,21 @@ def region_amplitude_sweep(
     plan = _plan(stack)
     phases = _phases(plan, k)
     last = count - 1
+    left_stops, right_stops = {*wanted, last}, {last - i for i in wanted}
+    if plan.symmetric:
+        left_stops |= right_stops
+    right_keep = _flags(right_stops)
     # |m22|^2 = 1 + |m12|^2 at real k, so m22 never vanishes, but the column overflows for
     # large zeta (near 1e77 for four mirrors)
     with np.errstate(over="ignore", invalid="ignore"):
         # (l12, l22) of the elements left of each region; at the last region (m12, m22)
-        left = _walk(0j, 1.0 + 0j, plan.ops, phases, sorted({*wanted, last}))
-        # the reversed steps give (-r21, r22) of the elements right of each region
-        right = _walk(0j, 1.0 + 0j, plan.ops[::-1], phases, sorted({last - i for i in wanted}))
+        left = _walk(0j, 1.0 + 0j, plan.ops, phases, _flags(left_stops))
+        # the reversed steps give (-r21, r22) of the elements right of each region; they are the steps of a
+        # symmetric stack, and the last region's pair is where every walk starts
+        if right_keep and not plan.symmetric:
+            right = _walk(0j, 1.0 + 0j, plan.ops[::-1], phases, right_keep)
+        else:
+            right = left
     m12, m22 = left[last]
     bad = ~(np.isfinite(m12) & np.isfinite(m22))
     if bad.any():
@@ -300,26 +315,28 @@ def region_amplitude_sweep(
 
 
 def _m22_and_derivative(plan: _Plan, omega: complex) -> tuple[complex, complex]:
-    """m22 and dm22/domega at a Python complex ``omega``, from the region solve's two walks.
+    """m22 and dm22/domega at a Python complex ``omega``, from the region solve's walks.
 
     A gap's factor G = diag(p, 1/p), p = e^{i*omega*l}, has dG/domega =
     i*l*J*G with J = diag(1, -1), so dM/domega is the sum over gaps of
     i*l * R J L, with L the product up to and including the gap and R the
     product right of it.  Its (2, 2) entry is -i*l*(x_R*l12 + r22*l22), with
     (l12, l22) from the walk from the left and (x_R, r22) = (-r21, r22) from
-    the walk of the reversed steps, both at the region right of the gap.
-    At a Python complex the whole pass runs on Python scalars, so where
-    numpy gives inf or nan it may raise OverflowError (``cmath.exp``) or
-    ZeroDivisionError (a phase that underflows to 0).
+    the walk of the reversed steps, both at the region right of the gap; on
+    a mirror-symmetric stack the one walk gives both.  At a Python complex
+    the whole pass runs on Python scalars, so where numpy gives inf or nan
+    it may raise OverflowError (``cmath.exp``) or ZeroDivisionError (a
+    phase that underflows to 0).
     """
     phases = _phases(plan, omega)
-    left = _walk(0j, 1.0 + 0j, plan.ops, phases, plan.left_stops)
-    right = _walk(0j, 1.0 + 0j, plan.ops[::-1], phases, plan.right_stops)
+    every = (True,) * len(plan.ops)  # on Python scalars, keeping every pair costs no memory worth sparing
+    left = _walk(0j, 1.0 + 0j, plan.ops, phases, every)
+    right = left if plan.symmetric else _walk(0j, 1.0 + 0j, plan.ops[::-1], phases, every)
     dm22 = 0j
     for region, stop, il in plan.gaps:
         (l12, l22), (x, r22) = left[region], right[stop]
         dm22 -= il * (x * l12 + r22 * l22)
-    return left[len(plan.ops)][1], dm22
+    return left[-1][1], dm22
 
 
 def transmission_poles(stack: OpticalStack, starts) -> np.ndarray:

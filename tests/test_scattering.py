@@ -16,6 +16,7 @@ from cascavity import (
     PoleSearchError,
     SingularBoundaryError,
     build_cascade,
+    build_single_cavity,
     compose,
     dark_mode_scan,
     default_omega_window,
@@ -35,6 +36,19 @@ def boundary(stack, k, a_in, d_in):
     """(b_out, c_out, regions) from the engine."""
     regions = region_amplitude_sweep(stack, k, a_in, d_in)
     return regions[0][1], regions[-1][0], regions
+
+
+def counted_walks(monkeypatch) -> list:
+    """The arguments of every ``_walk`` call from here on, one entry per walk over the stack."""
+    walks = []
+    walk = cascavity.scattering._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(cascavity.scattering, "_walk", counted)
+    return walks
 
 
 def brute_force_peak(stack, lo, hi, samples=20001, tol=1e-13):
@@ -322,24 +336,44 @@ class TestEngineEdges:
 class TestRegionSelection:
     stack = mirror_chain(5.0, 1.0, 5.0, 1.0)
     ks = np.linspace(31.3, 31.9, 41)
+    drives = (np.array([1.0, 0.0, 0.3 + 0.2j]), np.array([0.0, 1.0, np.exp(0.5j)]))
     inputs = {
-        "scalar": (31.6, 1.0, 0.3 - 0.4j),
-        "1-d": (ks, 1.0, 0.25j),
-        "k x drive": (ks[:, None], np.array([1.0, 0.0, 0.3 + 0.2j]), np.array([0.0, 1.0, np.exp(0.5j)])),
+        "scalar": (stack, 31.6, 1.0, 0.3 - 0.4j),
+        "1-d": (stack, ks, 1.0, 0.25j),
+        "k x drive": (stack, ks[:, None], *drives),
+        # not mirror-symmetric, so the walk from the right is a walk of its own
+        "leading-gap-adjacent-mirrors": (
+            OpticalStack([Gap(0.7), Mirror(3.0), Mirror(2.0), Gap(1.3), Mirror(3.0)]),
+            ks[:, None],
+            *drives,
+        ),
     }
 
     @pytest.mark.parametrize("name", list(inputs))
     def test_selected_regions_match_the_full_sweep_bitwise(self, name):
-        k, a_in, d_in = self.inputs[name]
-        full = region_amplitude_sweep(self.stack, k, a_in, d_in)
+        stack, k, a_in, d_in = self.inputs[name]
+        full = region_amplitude_sweep(stack, k, a_in, d_in)
         n = len(full)
         for i in range(-n, n):
-            ((right, left),) = region_amplitude_sweep(self.stack, k, a_in, d_in, regions=[i])
+            ((right, left),) = region_amplitude_sweep(stack, k, a_in, d_in, regions=[i])
             assert np.array_equal(right, full[i][0]) and np.array_equal(left, full[i][1]), i
-        picked = region_amplitude_sweep(self.stack, k, a_in, d_in, regions=[5, -1, 0, 1, 5])
+        picked = region_amplitude_sweep(stack, k, a_in, d_in, regions=[5, -1, 0, 1, 5])
         for i, (right, left) in zip([5, -1, 0, 1, 5], picked):
             assert np.array_equal(right, full[i][0]) and np.array_equal(left, full[i][1]), i
-        assert region_amplitude_sweep(self.stack, k, a_in, d_in, regions=[]) == []
+        assert region_amplitude_sweep(stack, k, a_in, d_in, regions=[]) == []
+
+    def test_a_symmetric_stack_walks_once(self, monkeypatch):
+        walks = counted_walks(monkeypatch)
+
+        def count(stack, regions):
+            walks.clear()
+            region_amplitude_sweep(stack, self.ks, 1.0, 0.25j, regions=regions)
+            return len(walks)
+
+        assert [count(self.stack, regions) for regions in (None, [0], [-1], [])] == [1, 1, 1, 1]
+        # an asymmetric chain walks from both ends, unless no region but the last is asked for
+        chain = mirror_chain(5.0, 1.0, 3.0, 2.0, 3.0)
+        assert [count(chain, regions) for regions in (None, [0], [-1], [])] == [2, 2, 1, 1]
 
     def test_empty_stack_has_one_region(self):
         ((right, left),) = region_amplitude_sweep(OpticalStack([]), 2.0, 1.0, 0.5, regions=[-1])
@@ -454,7 +488,8 @@ class TestTransmissionPoles:
 
     def test_newton_work_is_pinned(self, monkeypatch):
         # the ten zeta of the peaks-zeta benchmark from the coupled poles take 122 passes: a derivative that is
-        # right but less accurate takes more
+        # right but less accurate takes more; each pass walks the mirror-symmetric stack once
+        walks = counted_walks(monkeypatch)
         passes = []
         derivative = cascavity.scattering._m22_and_derivative
 
@@ -468,6 +503,7 @@ class TestTransmissionPoles:
             transmission_poles(setup.stack, mode_poles(setup.system))
         # each of the 30 starts takes at least one pass
         assert 30 <= len(passes) <= 122, len(passes)
+        assert len(walks) == len(passes), (len(walks), len(passes))
 
     def test_rejects_a_stack_without_gaps(self):
         # m22 does not depend on omega, so Newton has no step to take
@@ -506,6 +542,41 @@ def test_m22_derivative_matches_50_digit_difference(stack, omega):
         want = complex(mpmath.diff(lambda w: oracle.product(stack.elements, w, mpmath.exp)[1][1], mpmath.mpc(omega)))
     _, dm22 = cascavity.scattering._m22_and_derivative(cascavity.scattering._plan(stack), omega)
     assert abs(dm22 - want) <= 1e-10 * abs(want), (dm22, want)
+
+
+def _one_walk_cases():
+    for zeta in (2.0, 20.0, 2000.0):
+        for alignment in ("resonant", "nominal"):
+            stack = build_cascade(zeta, 1.0, 5.0, 10, fiber_alignment=alignment).stack
+            yield pytest.param((stack,), True, id=f"cascade-{zeta:g}-{alignment}")
+    yield pytest.param((build_single_cavity(20.0, 1.0, 10).stack,), True, id="single-cavity")
+    palindrome = OpticalStack([Mirror(3.0), Gap(1.0), Mirror(5.0), Gap(1.0), Mirror(3.0)])
+    yield pytest.param((palindrome,), True, id="unequal-mirror-palindrome")
+    # not symmetric, though their steps compare equal reversed: a gap's index 0 == a zero mirror's 0j
+    zero_mirror = (
+        OpticalStack([Gap(1.0), Mirror(0.0)]),
+        OpticalStack([Gap(1.0), Mirror(2.0), Gap(0.5), Mirror(2.0), Mirror(0.0)]),
+    )
+    yield pytest.param(zero_mirror, False, id="zero-mirror")
+
+
+@pytest.mark.parametrize("stacks, symmetric", _one_walk_cases())
+def test_one_walk_matches_two_walks_bitwise(stacks, symmetric, monkeypatch):
+    # a mirror-symmetric stack takes its walk from the right from the walk from the left: every region under
+    # the drives (1, 0), (0, 1) and a two-sided one, and m22 and dm22/domega, equal those of the two walks
+    k = np.linspace(31.3, 31.9, 41)[:, None]
+    a_in, d_in = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.3 - 0.4j])
+    plan, derivative = cascavity.scattering._plan, cascavity.scattering._m22_and_derivative
+    for stack in stacks:
+        assert plan(stack).symmetric is symmetric
+        assert derivative(plan(stack), 31.5 - 0.01j) == derivative(plan(stack)._replace(symmetric=False), 31.5 - 0.01j)
+        one = region_amplitude_sweep(stack, k, a_in, d_in)
+        with monkeypatch.context() as patched:
+            patched.setattr(cascavity.scattering, "_plan", lambda s: plan(s)._replace(symmetric=False))
+            two = region_amplitude_sweep(stack, k, a_in, d_in)
+        assert len(one) == len(two) == len(stack.elements) + 1
+        for i, ((right, left), (want_right, want_left)) in enumerate(zip(one, two)):
+            assert np.array_equal(right, want_right) and np.array_equal(left, want_left), i
 
 
 def test_gap_phases_are_exp_within_an_ulp():
